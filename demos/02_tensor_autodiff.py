@@ -22,7 +22,7 @@ print("d/dp of sum(p^2 + p) at [1,2,3]:", p.grad, "(expected [3, 5, 7])")
 x = Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True, dtype=np.float64)
 w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True, dtype=np.float64)
 b = Tensor(np.zeros(4), requires_grad=True, dtype=np.float64)
-y = T.conv2d(x, w, b, stride=1, padding=4, dilation=4)
+y = T.conv2d(x, w, b, padding=4, dilation=4)
 print("dilated conv output:", y.shape)
 
 # softmax rows normalize and stay put under huge logits

@@ -39,7 +39,7 @@ def init_conv(
 
 
 def conv(x: Tensor, p: Conv2dParams, padding: int = 0, dilation: int = 1) -> Tensor:
-    return T.conv2d(x, p.weight, p.bias, stride=1, padding=padding, dilation=dilation)
+    return T.conv2d(x, p.weight, p.bias, padding=padding, dilation=dilation)
 
 
 @dataclass

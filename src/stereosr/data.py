@@ -16,6 +16,7 @@ Disparity convention: a left pixel (y, x) corresponds to right pixel
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -78,15 +79,14 @@ def _keys_kernel(x: float) -> float:
     return 0.0
 
 
-_weight_cache: dict = {}
+# Resampling matrices kept at once. A workload uses a few (frame and patch
+# sizes, each way, per dtype); a stream of new sizes evicts the oldest.
+_WEIGHT_CACHE_SIZE = 16
 
 
-def _bicubic_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) row-stochastic resampling matrix, edge-clamped taps."""
-    key = (n_in, n_out)
-    cached = _weight_cache.get(key)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _bicubic_weights(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (n_out, n_in) row-stochastic resampling matrix, edge-clamped taps."""
     scale = n_in / n_out
     A = np.zeros((n_out, n_in), dtype=np.float64)
     for o in range(n_out):
@@ -96,7 +96,8 @@ def _bicubic_weights(n_in: int, n_out: int) -> np.ndarray:
         for k in range(-1, 3):
             idx = min(max(j0 + k, 0), n_in - 1)
             A[o, idx] += _keys_kernel(k - t)
-    _weight_cache[key] = A
+    A = A.astype(dtype)
+    A.flags.writeable = False
     return A
 
 
@@ -108,8 +109,8 @@ def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if img.ndim != 3:
         raise ValueError(f"bicubic_resize expects [C,H,W], got shape {img.shape}")
     _, h, w = img.shape
-    A_h = _bicubic_weights(h, out_h).astype(img.dtype)
-    A_w = _bicubic_weights(w, out_w).astype(img.dtype)
+    A_h = _bicubic_weights(h, out_h, img.dtype)
+    A_w = _bicubic_weights(w, out_w, img.dtype)
     rows = np.tensordot(A_h, img, axes=(1, 1)).transpose(1, 0, 2)  # [C,out_h,W]
     return np.ascontiguousarray(np.tensordot(rows, A_w, axes=(2, 1)))
 

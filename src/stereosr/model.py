@@ -41,7 +41,7 @@ from .backbone import (
     res_aspp_block,
     residual_block,
 )
-from .data import StereoSample, bicubic_resize
+from .data import bicubic_resize
 from .tensor import Tensor
 
 
@@ -304,8 +304,3 @@ def mask_argmax_disparity(mask: np.ndarray, direction: str) -> np.ndarray:
     if direction == "lr":
         return (hit - cols).astype(np.int32)
     raise ValueError(f"direction must be 'rl' or 'lr', got {direction!r}")
-
-
-def make_stereo_batch(sample: StereoSample, dtype=np.float32):
-    """Convenience: a batch of one sample."""
-    return batch_tensors([sample], dtype)

@@ -8,7 +8,8 @@ topological order and accumulates gradients into the leaves.
 Conventions:
   * float32 is the default dtype; float64 is used by the gradient-check
     tooling (finite differences need the extra headroom).
-  * convolution means cross-correlation (no kernel flip).
+  * convolution means cross-correlation (no kernel flip), always at
+    stride 1.
   * the graph is rebuilt on every forward pass (define-by-run).
 """
 
@@ -468,13 +469,37 @@ def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # convolution
 # ----------------------------------------------------------------------
+def _windows(a: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
+    """View [..., Ho, Wo, kH, kW] of every dilated window over the last two axes."""
+    return np.lib.stride_tricks.sliding_window_view(
+        a, (dilation * (kH - 1) + 1, dilation * (kW - 1) + 1), axis=(-2, -1)
+    )[..., ::dilation, ::dilation]
+
+
+def _im2col(xp: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
+    """[N, C*kH*kW, Ho*Wo] matrix of every dilated kH x kW window of ``xp``."""
+    N, C = xp.shape[:2]
+    win = _windows(xp, kH, kW, dilation)
+    Ho, Wo = win.shape[2:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kH * kW, Ho * Wo)
+
+
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad [N,C,H,W] by ph rows / pw columns per side; crop where negative."""
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    a = a[:, :, ch : a.shape[2] - ch, cw : a.shape[3] - cw]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if ph or pw:
+        # zeros + copy: np.pad's per-call overhead is ~10x this on small maps
+        N, C, H, W = a.shape
+        out = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=a.dtype)
+        out[:, :, ph : ph + H, pw : pw + W] = a
+        a = out
+    return a
+
+
 def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    stride: int = 1,
-    padding: int = 0,
-    dilation: int = 1,
+    x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0, dilation: int = 1
 ) -> Tensor:
     """2-D cross-correlation over [N,C,H,W] with an [O,C,kH,kW] kernel."""
     if x.ndim != 4:
@@ -489,60 +514,58 @@ def conv2d(
         )
     if bias.shape != (O,):
         raise ValueError(f"conv2d bias must have shape ({O},), got {bias.shape}")
-    if dilation < 1 or stride < 1:
-        raise ValueError("conv2d stride and dilation must be >= 1")
+    if dilation < 1 or padding < 0:
+        raise ValueError("conv2d needs dilation >= 1 and padding >= 0")
 
-    span_h = H + 2 * padding - dilation * (kH - 1) - 1
-    span_w = W + 2 * padding - dilation * (kW - 1) - 1
-    if span_h < 0 or span_h % stride or span_w < 0 or span_w % stride:
+    Ho = H + 2 * padding - dilation * (kH - 1)
+    Wo = W + 2 * padding - dilation * (kW - 1)
+    if Ho < 1 or Wo < 1:
         raise ValueError(
             f"conv2d geometry invalid: input {H}x{W}, kernel {kH}x{kW}, "
-            f"padding {padding}, dilation {dilation}, stride {stride} "
-            "does not yield integer positive output extents"
+            f"padding {padding}, dilation {dilation} "
+            "does not yield positive output extents"
         )
-    Ho = span_h // stride + 1
-    Wo = span_w // stride + 1
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-
-    cols = np.empty((N, C, kH, kW, Ho, Wo), dtype=xp.dtype)
-    for ki in range(kH):
-        i0 = ki * dilation
-        for kj in range(kW):
-            j0 = kj * dilation
-            cols[:, :, ki, kj] = xp[
-                :, :, i0 : i0 + (Ho - 1) * stride + 1 : stride,
-                j0 : j0 + (Wo - 1) * stride + 1 : stride,
-            ]
-    cols_mat = cols.reshape(N, C * kH * kW, Ho * Wo)
     w_mat = weight.data.reshape(O, C * kH * kW)
-    out = np.matmul(w_mat, cols_mat).reshape(N, O, Ho, Wo)
+    cols = _im2col(_pad_hw(x.data, padding, padding), kH, kW, dilation)
+    out = np.matmul(w_mat, cols).reshape(N, O, Ho, Wo)
+    del cols
     out = out + bias.data.reshape(1, O, 1, 1)
 
-    pad_shape = xp.shape
-
     def vjp(g):
-        g_mat = g.reshape(N, O, Ho * Wo)
         gb = g.sum(axis=(0, 2, 3))
-        gw = np.tensordot(g_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(weight.shape)
-        dcols = np.matmul(w_mat.T, g_mat).reshape(N, C, kH, kW, Ho, Wo)
-        dxp = np.zeros(pad_shape, dtype=g.dtype)
-        for ki in range(kH):
-            i0 = ki * dilation
-            for kj in range(kW):
-                j0 = kj * dilation
-                dxp[
-                    :, :, i0 : i0 + (Ho - 1) * stride + 1 : stride,
-                    j0 : j0 + (Wo - 1) * stride + 1 : stride,
-                ] += dcols[:, :, ki, kj]
-        if padding:
-            gx = dxp[:, :, padding : padding + H, padding : padding + W]
-        else:
-            gx = dxp
-        return np.ascontiguousarray(gx), gw, gb
+        # gathered again rather than kept: the graph holds no C*k^2*H*W buffer
+        cols = _im2col(_pad_hw(x.data, padding, padding), kH, kW, dilation)
+        g_mat = g.reshape(N, O, Ho * Wo)
+        gw = np.tensordot(g_mat, cols, axes=([0, 2], [0, 2]))
+        del cols
+        # Input pixel y takes tap ki's column gradient at output row
+        # y + padding - ki*dilation: window offset kH-1-ki once the column
+        # gradient is padded by dilation*(kH-1) - padding (cropped where that
+        # is negative). g itself is padded only along W, and the matmul writes
+        # into the padded rows: padding all of g first would widen the matmul
+        # by up to 2.7x at dilation 8, enough to tip small inputs into threaded
+        # BLAS, which stalls on a busy host.
+        qh, qw = dilation * (kH - 1) - padding, dilation * (kW - 1) - padding
+        gq = _pad_hw(g, min(qh, 0), qw)
+        Hq, Wp = gq.shape[2:]
+        ph = max(qh, 0)
+        dcols = np.zeros(
+            (N, C * kH * kW, Hq + 2 * ph, Wp), dtype=np.result_type(w_mat, g)
+        )
+        np.matmul(
+            w_mat.T,
+            gq.reshape(N, O, Hq * Wp),
+            out=dcols[:, :, ph : ph + Hq].reshape(N, C * kH * kW, Hq * Wp),
+        )
+        win = _windows(dcols.reshape(N, C, kH, kW, *dcols.shape[2:]), kH, kW, dilation)
+        # flipped, window offset kH-1-ki sits at index ki, so the diagonals
+        # pick each tap's own offset: a [N,C,H,W,kH,kW] view
+        win = win[..., ::-1, ::-1]
+        taps = np.diagonal(np.diagonal(win, axis1=2, axis2=6), axis1=2, axis2=5)
+        # the reduction adds the taps one by one in (ki, kj) order, which
+        # fixes the float rounding of the gradient
+        return taps.sum(axis=(4, 5)), gw.reshape(weight.shape), gb
 
     return _make(out, (x, weight, bias), vjp, "conv2d")
 
@@ -628,30 +651,3 @@ def pixel_shuffle(x: Tensor, s: int) -> Tensor:
         return (np.ascontiguousarray(gx),)
 
     return _make(np.ascontiguousarray(out), (x,), vjp, "pixel_shuffle")
-
-
-def pixel_unshuffle(x: Tensor, s: int) -> Tensor:
-    """Inverse of :func:`pixel_shuffle`: [N,C,s*H,s*W] -> [N,C*s^2,H,W]."""
-    if x.ndim != 4:
-        raise ValueError(f"pixel_unshuffle input must be [N,C,H,W], got {x.shape}")
-    N, C, Hs, Ws = x.shape
-    if Hs % s or Ws % s:
-        raise ValueError(
-            f"pixel_unshuffle spatial extents {Hs}x{Ws} not divisible by s={s}"
-        )
-    H, W = Hs // s, Ws // s
-    out = (
-        x.data.reshape(N, C, H, s, W, s)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(N, C * s * s, H, W)
-    )
-
-    def vjp(g):
-        gx = (
-            g.reshape(N, C, s, s, H, W)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(N, C, Hs, Ws)
-        )
-        return (np.ascontiguousarray(gx),)
-
-    return _make(np.ascontiguousarray(out), (x,), vjp, "pixel_unshuffle")

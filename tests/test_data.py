@@ -99,6 +99,19 @@ class TestBicubicResize:
         with pytest.raises(ValueError):
             bicubic_resize(rng.random((1, 4, 4)), 0, 3)
 
+    def test_weight_cache_is_bounded(self, rng):
+        """A stream of new sizes evicts old matrices and keeps the results."""
+        imgs = [rng.random((1, 7, 9)).astype(dt) for dt in (np.float32, np.float64)]
+        first = [bicubic_resize(img, 13, 5) for img in imgs]
+        for n in range(8, 40):
+            bicubic_resize(rng.random((1, n, n)), 2 * n, 2 * n)
+        assert data._bicubic_weights.cache_info().currsize <= data._WEIGHT_CACHE_SIZE < 32
+        for img, want in zip(imgs, first):
+            got = bicubic_resize(img, 13, 5)
+            assert got.dtype == img.dtype and np.array_equal(got, want)
+            tol = 1e-6 if img.dtype == np.float32 else 1e-12
+            np.testing.assert_allclose(got, bicubic_oracle(img, 13, 5), atol=tol)
+
 
 def make_frame(rng, h, w, scale=2, fill=None):
     hr_h, hr_w = h * scale, w * scale

@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, oracles, and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,13 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def naive_conv2d(x, w, b, stride=1, padding=0, dilation=1):
+def naive_conv2d(x, w, b, padding=0, dilation=1):
     """Direct sextuple-loop cross-correlation, the conv oracle."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
-    wo = (wd + 2 * padding - dilation * (kw - 1) - 1) // stride + 1
+    ho = h + 2 * padding - dilation * (kh - 1)
+    wo = wd + 2 * padding - dilation * (kw - 1)
     out = np.zeros((n, o, ho, wo), dtype=x.dtype)
     for ni in range(n):
         for oi in range(o):
@@ -30,8 +32,7 @@ def naive_conv2d(x, w, b, stride=1, padding=0, dilation=1):
                         for ki in range(kh):
                             for kj in range(kw):
                                 acc += (
-                                    xp[ni, ci, yi * stride + ki * dilation,
-                                       xi * stride + kj * dilation]
+                                    xp[ni, ci, yi + ki * dilation, xi + kj * dilation]
                                     * w[oi, ci, ki, kj]
                                 )
                     out[ni, oi, yi, xi] = acc + b[oi]
@@ -44,7 +45,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.ones((1, 1, 3, 3)))
         b = Tensor(np.zeros(1))
-        out = T.conv2d(x, w, b, stride=1, padding=1)
+        out = T.conv2d(x, w, b, padding=1)
         assert out.data[0, 0, 1, 1] == pytest.approx(9.0)
 
     def test_identity_kernel(self, rng):
@@ -58,17 +59,20 @@ class TestConv2d:
         x = rng.normal(size=(1, 2, 5, 7))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=4, dilation=4)
-        want = naive_conv2d(x, w, b, stride=1, padding=4, dilation=4)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=4, dilation=4)
+        want = naive_conv2d(x, w, b, padding=4, dilation=4)
         np.testing.assert_allclose(got.data, want, atol=1e-6)
 
-    @pytest.mark.parametrize("stride,padding,dilation", [(1, 1, 1), (2, 1, 1), (1, 2, 2)])
-    def test_strided_matches_naive_oracle(self, rng, stride, padding, dilation):
+    # (3, 1) pads past the kernel's reach: the outer output ring sees only zeros
+    @pytest.mark.parametrize(
+        "padding,dilation", [(0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (3, 1)]
+    )
+    def test_strided_matches_naive_oracle(self, rng, padding, dilation):
         x = rng.normal(size=(2, 3, 7, 9))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding, dilation)
-        want = naive_conv2d(x, w, b, stride, padding, dilation)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding, dilation)
+        want = naive_conv2d(x, w, b, padding, dilation)
         np.testing.assert_allclose(got.data, want, atol=1e-5)
 
     def test_impulse_reproduces_kernel_at_dilation_spacing(self):
@@ -95,10 +99,10 @@ class TestConv2d:
             T.conv2d(x, w, b, padding=1)
 
     def test_invalid_geometry_raises(self, rng):
-        x = Tensor(rng.normal(size=(1, 1, 4, 4)))
+        x = Tensor(rng.normal(size=(1, 1, 2, 4)))
         w = Tensor(rng.normal(size=(1, 1, 3, 3)))
         with pytest.raises(ValueError, match="geometry"):
-            T.conv2d(x, w, Tensor(np.zeros(1)), stride=2, padding=0)
+            T.conv2d(x, w, Tensor(np.zeros(1)), padding=0)
 
     def test_gradients(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 5, 6)), requires_grad=True, dtype=np.float64)
@@ -110,6 +114,60 @@ class TestConv2d:
             elementwise=True,
         )
         assert max(report.values()) < 1e-3
+
+    # padding below, at and above the kernel reach dilation*(k-1): the input
+    # gradient pads the column gradient, uses it as is, or crops it
+    @pytest.mark.parametrize(
+        "k,dilation,padding",
+        [(1, d, p) for d in (1, 2, 4) for p in (0, 1)]
+        + [(3, d, p) for d in (1, 2, 4) for p in (d, 2 * d, 2 * d + 1)],
+    )
+    def test_gradients_pad_and_crop(self, rng, k, dilation, padding):
+        x = Tensor(rng.normal(size=(1, 2, 9, 10)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 2, k, k)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)
+        report = check_gradients(
+            lambda: (T.conv2d(x, w, b, padding=padding, dilation=dilation) ** 2).sum(),
+            [("x", x), ("w", w), ("b", b)],
+            elementwise=True,
+        )
+        assert max(report.values()) < 1e-3
+
+    def test_input_gradient_adds_taps_in_order(self, rng):
+        """float32 input gradient equals a tap-by-tap (ki, kj) scatter bit for bit.
+
+        Training runs are chaotic in this rounding, so a different summation
+        order changes what the acceptance runs learn.
+        """
+        d, p = 2, 1
+        x = Tensor(rng.normal(size=(2, 3, 7, 9)), requires_grad=True, dtype=np.float32)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), dtype=np.float32)
+        out = T.conv2d(x, w, Tensor(np.zeros(4), dtype=np.float32), padding=p, dilation=d)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        ho, wo = out.shape[2:]
+        dcols = np.matmul(w.data.reshape(4, 27).T, g.reshape(2, 4, ho * wo))
+        dcols = dcols.reshape(2, 3, 3, 3, ho, wo)
+        want = np.zeros((2, 3, 7 + 2 * p, 9 + 2 * p), dtype=np.float32)
+        for ki in range(3):
+            for kj in range(3):
+                want[:, :, ki * d : ki * d + ho, kj * d : kj * d + wo] += dcols[:, :, ki, kj]
+        assert np.array_equal(x.grad, want[:, :, p:-p, p:-p])
+
+    def test_graph_keeps_only_the_output(self, rng):
+        """Under grad, a conv holds its output and no window matrix for backward."""
+        x = Tensor(rng.normal(size=(8, 8, 32, 96)), requires_grad=True, dtype=np.float32)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True, dtype=np.float32)
+        b = Tensor(np.zeros(8), requires_grad=True, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, b, padding=4, dilation=4)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 64 * 1024
 
 
 class TestLeakyRelu:
@@ -269,10 +327,14 @@ class TestPixelShuffle:
         out = T.pixel_shuffle(x, 2)
         np.testing.assert_allclose(out.data[0, 0], [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_shuffle_unshuffle_roundtrip(self, rng):
+    def test_matches_index_formula(self, rng):
+        """out[n, c, h*s+i, w*s+j] = x[n, c*s^2 + i*s + j, h, w]."""
+        s = 2
         x = rng.normal(size=(2, 8, 3, 4))
-        y = T.pixel_unshuffle(T.pixel_shuffle(Tensor(x), 2), 2)
-        np.testing.assert_allclose(y.data, x, atol=0)
+        out = T.pixel_shuffle(Tensor(x), s).data
+        assert out.shape == (2, 2, 6, 8)
+        for n, c, h, w, i, j in np.ndindex(2, 2, 3, 4, s, s):
+            assert out[n, c, h * s + i, w * s + j] == x[n, c * s * s + i * s + j, h, w]
 
     def test_divisibility_error(self, rng):
         with pytest.raises(ValueError, match="divisible"):
