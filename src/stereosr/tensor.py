@@ -11,6 +11,8 @@ Conventions:
   * convolution means cross-correlation (no kernel flip), always at
     stride 1.
   * the graph is rebuilt on every forward pass (define-by-run).
+  * an op allocates only its output; state needed only by the backward
+    pass is built inside the vjp from the parents' data.
 """
 
 from __future__ import annotations
@@ -106,9 +108,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -324,23 +323,27 @@ def power(a: Tensor, p) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     out = np.abs(a.data)
-    sign = np.sign(a.data)
+    a_data = a.data
 
     def vjp(g):
-        return (g * sign,)
+        return (g * np.sign(a_data),)
 
     return _make(out, (a,), vjp, "abs")
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    """Elementwise max(x, slope*x) for slope in [0, 1)."""
+    """Elementwise max(x, slope*x) for slope in [0, 1).
+
+    Equals ``where(x >= 0, x, slope*x)`` bit for bit, signed zeros and NaN
+    included, except that slope 0 maps +inf to NaN (0*inf).
+    """
     if not 0.0 <= slope < 1.0:
         raise ValueError(f"leaky_relu slope must lie in [0, 1), got {slope}")
-    mask = a.data >= 0
-    out = np.where(mask, a.data, slope * a.data)
-    factor = np.where(mask, a.data.dtype.type(1.0), a.data.dtype.type(slope))
+    out = np.maximum(a.data, slope * a.data)
+    a_data = a.data
 
     def vjp(g):
+        factor = np.where(a_data >= 0, a_data.dtype.type(1.0), a_data.dtype.type(slope))
         return (g * factor,)
 
     return _make(out, (a,), vjp, "leaky_relu")
@@ -427,16 +430,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ----------------------------------------------------------------------
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction."""
-    # contiguous layout pins the reduction order, keeping results
-    # bit-identical whether the input is a transposed view or not
-    x = np.ascontiguousarray(a.data)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # one C-order copy, worked in place: the contiguous layout pins the
+    # reduction order, keeping results bit-identical whether the input is
+    # a transposed view or not, and the input itself is never written
+    y = np.array(a.data, order="C")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        gx = g * y
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= y
+        return (gx,)
 
     return _make(y, (a,), vjp, "softmax_lastdim")
 
@@ -530,7 +537,7 @@ def conv2d(
     cols = _im2col(_pad_hw(x.data, padding, padding), kH, kW, dilation)
     out = np.matmul(w_mat, cols).reshape(N, O, Ho, Wo)
     del cols
-    out = out + bias.data.reshape(1, O, 1, 1)
+    out += bias.data.reshape(1, O, 1, 1)
 
     def vjp(g):
         gb = g.sum(axis=(0, 2, 3))

@@ -8,6 +8,7 @@ resume bit-identically at any epoch boundary.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
@@ -206,43 +207,78 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
-    """Read a checkpoint back into an ordered {record name: float32 array}."""
+    """Read a checkpoint back into an ordered {record name: float32 array}.
+
+    Raises ValueError naming the record being read on a short file.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     out: Dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked against the file size first, so a corrupt length
+            # never asks for a huge buffer
+            left = size - fh.tell()
+            if n > left:
+                raise ValueError(
+                    f"{path}: checkpoint truncated in {what}: "
+                    f"needs {n} bytes, {left} left"
+                )
+            return fh.read(n)
+
+        def read_u4(count: int, what: str) -> List[int]:
+            return np.frombuffer(read(4 * count, what), dtype="<u4").tolist()
+
+        magic = read(len(CKPT_MAGIC), "header")
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+        (version,) = read_u4(1, "header")
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            name_len = int(np.frombuffer(head, dtype="<u4")[0])
-            name = fh.read(name_len).decode("ascii")
-            rank = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-            shape = tuple(np.frombuffer(fh.read(4 * rank), dtype="<u4").tolist())
-            count = int(np.prod(shape)) if shape else 1
-            payload = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-            out[name] = payload.copy()
+        name = None
+        while fh.tell() < size:
+            what = "the first record" if name is None else f"the record after '{name}'"
+            (name_len,) = read_u4(1, what)
+            name = read(name_len, what).decode("ascii")
+            what = f"record '{name}'"
+            (rank,) = read_u4(1, what)
+            shape = tuple(read_u4(rank, what))
+            payload = read(4 * math.prod(shape), what)
+            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return out
 
 
+def _record(ckpt: Dict[str, np.ndarray], key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    if key not in ckpt:
+        raise ValueError(f"checkpoint missing record '{key}'")
+    if ckpt[key].shape != shape:
+        raise ValueError(
+            f"checkpoint record '{key}' has shape {ckpt[key].shape}, expected {shape}"
+        )
+    return ckpt[key]
+
+
 def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, Dict[str, float]]:
-    """Rebuild model params and optimizer state from a loaded checkpoint."""
+    """Rebuild model params and optimizer state from a loaded checkpoint.
+
+    Raises ValueError for a missing or misshapen record.
+    """
+
+    def scalar(key: str) -> float:
+        return float(_record(ckpt, f"meta.{key}", (1,))[0])
+
     meta = {
-        "epochs_done": int(ckpt["meta.epochs_done"][0]),
-        "global_step": int(ckpt["meta.global_step"][0]),
-        "adam_t": int(ckpt["meta.adam_t"][0]),
-        "seed": _limbs_seed(ckpt["meta.seed"]),
-        "alpha": float(ckpt["meta.alpha"][0]),
-        "scale": int(ckpt["meta.scale"][0]),
-        "channels": int(ckpt["meta.channels"][0]),
-        "img_channels": int(ckpt["meta.img_channels"][0]),
-        "global_residual": bool(ckpt["meta.global_residual"][0]),
+        "epochs_done": int(scalar("epochs_done")),
+        "global_step": int(scalar("global_step")),
+        "adam_t": int(scalar("adam_t")),
+        "seed": _limbs_seed(_record(ckpt, "meta.seed", (4,))),
+        "alpha": scalar("alpha"),
+        "scale": int(scalar("scale")),
+        "channels": int(scalar("channels")),
+        "img_channels": int(scalar("img_channels")),
+        "global_residual": bool(scalar("global_residual")),
     }
     params = init_model(
         np.random.default_rng(0),
@@ -253,17 +289,9 @@ def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, 
     )
     adam = AdamState(t=meta["adam_t"])
     for name, p in named_parameters(params):
-        key = f"param.{name}"
-        if key not in ckpt:
-            raise ValueError(f"checkpoint missing record '{key}'")
-        if ckpt[key].shape != p.data.shape:
-            raise ValueError(
-                f"checkpoint record '{key}' has shape {ckpt[key].shape}, "
-                f"expected {p.data.shape}"
-            )
-        p.data = ckpt[key].astype(np.float32)
-        adam.m[name] = ckpt[f"adam.m.{name}"].astype(np.float32)
-        adam.v[name] = ckpt[f"adam.v.{name}"].astype(np.float32)
+        p.data = _record(ckpt, f"param.{name}", p.data.shape).astype(np.float32)
+        adam.m[name] = _record(ckpt, f"adam.m.{name}", p.data.shape).astype(np.float32)
+        adam.v[name] = _record(ckpt, f"adam.v.{name}", p.data.shape).astype(np.float32)
     return params, adam, meta
 
 

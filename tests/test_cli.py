@@ -129,6 +129,34 @@ class TestSr:
         assert code == 1
         assert "shapes differ" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_1(self, checkpoint, tmp_path, capsys):
+        """Every short copy of a checkpoint is reported, never a traceback."""
+        with open(checkpoint, "rb") as fh:
+            blob = fh.read()
+        # end of the first record: header, name, rank, shape, payload
+        name_len = int(np.frombuffer(blob, "<u4", 1, 12)[0])
+        at = 16 + name_len
+        rank = int(np.frombuffer(blob, "<u4", 1, at)[0])
+        shape = np.frombuffer(blob, "<u4", rank, at + 4)
+        first_end = at + 4 + 4 * rank + 4 * int(np.prod(shape))
+        tail = np.linspace(first_end + 1, len(blob) - 1, 200).astype(int)
+        lengths = sorted(set(range(first_end + 1)) | set(tail.tolist()))
+        image = str(tmp_path / "lr.pgm")
+        sample, _ = synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)
+        save_image(image, sample.lr_left)
+        short = str(tmp_path / "short.bin")
+        for n in lengths:
+            with open(short, "wb") as fh:
+                fh.write(blob[:n])
+            code = main([
+                "sr", "--checkpoint", short, "--left", image, "--right", image,
+                "--out-left", str(tmp_path / "o1.pgm"),
+                "--out-right", str(tmp_path / "o2.pgm"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 1, n
+            assert err.startswith("error: ") and "checkpoint" in err, (n, err)
+
 
 class TestDumpMasks:
     def test_writes_disparity_images(self, dataset, checkpoint, tmp_path):

@@ -190,6 +190,48 @@ class TestLeakyRelu:
         with pytest.raises(ValueError):
             T.leaky_relu(Tensor(np.zeros(1)), 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 0.37])
+    def test_matches_where_bit_for_bit(self, slope, dtype):
+        values = [-0.0, 0.0, -1.5, 2.0, 1e-40, -1e-40, np.nan, -np.nan, -np.inf]
+        if slope:
+            values.append(np.inf)  # slope 0 maps +inf to NaN (0*inf)
+        # long enough for numpy's vectorized loops, not only the scalar tail
+        x = np.tile(np.array(values, dtype=dtype), 64)
+        with np.errstate(invalid="ignore"):
+            want = np.where(x >= 0, x, slope * x)
+            got = T.leaky_relu(Tensor(x), slope).data
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_gradient_is_one_or_slope(self, rng):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0]), requires_grad=True, dtype=np.float32)
+        g = rng.normal(size=4).astype(np.float32)
+        (T.leaky_relu(x, 0.1) * Tensor(g)).sum().backward()
+        want = g * np.where(x.data >= 0, np.float32(1.0), np.float32(0.1))
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_graph_keeps_only_the_output(self, rng):
+        """The graph keeps no factor array: the vjp derives it from x."""
+        x = Tensor(rng.normal(size=(8, 8, 32, 96)), requires_grad=True, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.leaky_relu(x, 0.1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 64 * 1024
+
+
+class TestAbsolute:
+    def test_gradient_is_sign_and_zero_at_zero(self):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0]), requires_grad=True, dtype=np.float32)
+        x.abs().sum().backward()
+        assert x.grad.tobytes() == np.sign(x.data).tobytes()
+        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 0.0, 1.0])
+
 
 class TestSoftmaxLastdim:
     def test_uniform_logits(self):
@@ -221,6 +263,30 @@ class TestSoftmaxLastdim:
             elementwise=True,
         )
         assert max(report.values()) < 1e-3
+
+    def test_no_grad_peak_is_the_output(self, rng):
+        """Under no_grad the op allocates its output and nothing of that size."""
+        a = Tensor(rng.normal(size=(1, 16, 96, 96)), dtype=np.float32).transpose(0, 1, 3, 2)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = T.softmax_lastdim(a)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak <= out.data.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_input_is_not_written(self, rng, transposed):
+        # attention feeds one score volume to both directions
+        a = Tensor(rng.normal(size=(2, 5, 7)), requires_grad=True, dtype=np.float32)
+        if transposed:
+            a = a.transpose(0, 2, 1)
+        before = a.data.copy()
+        T.softmax_lastdim(a)
+        assert a.data.tobytes() == before.tobytes()
 
 
 class TestBatchMatmul:

@@ -217,6 +217,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_truncation_names_the_record(self, rng, tmp_path):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "t.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:100])
+        first = next(named_parameters(params))[0]
+        with pytest.raises(ValueError, match=f"truncated in record 'param.{first}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("prefix", ["adam.m.", "adam.v.", "meta."])
+    def test_missing_record_rejected(self, rng, tmp_path, prefix):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "m.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        ckpt = load_checkpoint(path)
+        missing = next(k for k in ckpt if k.startswith(prefix))
+        del ckpt[missing]
+        with pytest.raises(ValueError, match=f"missing record '{missing}'"):
+            restore_model(ckpt)
+
 
 class TestTrainLoop:
     def test_one_epoch_csv_rows(self, manifest, tmp_path):
