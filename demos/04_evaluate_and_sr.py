@@ -11,8 +11,7 @@ import numpy as np
 
 from stereosr.imageio import load_image, save_image
 from stereosr.metrics import evaluate
-from stereosr.model import super_resolve
-from stereosr.tensor import Tensor, no_grad
+from stereosr.model import sr_pair
 from stereosr.training import load_checkpoint, restore_model
 
 out = os.environ.get("STEREOSR_OUT_DIR", "demo_out")
@@ -38,10 +37,9 @@ from stereosr.data import bicubic_resize
 
 lr_l = np.clip(bicubic_resize(left, h, w), 0, 1)
 lr_r = np.clip(bicubic_resize(right, h, w), 0, 1)
-with no_grad():
-    sr_l, _, _, _ = super_resolve(Tensor(lr_l[None]), Tensor(lr_r[None]), params)
+sr_l, _ = sr_pair(params, lr_l, lr_r)
 panel = np.concatenate(
-    [bicubic_resize(lr_l, 2 * h, 2 * w), np.clip(sr_l.data[0], 0, 1), left], axis=2
+    [bicubic_resize(lr_l, 2 * h, 2 * w), np.clip(sr_l, 0, 1), left], axis=2
 )
 save_image(os.path.join(out, "panel_bicubic_sr_hr.pgm"), panel)
 print("wrote", os.path.join(out, "panel_bicubic_sr_hr.pgm"))

@@ -20,7 +20,7 @@ from .data import generate_dataset
 from .gradcheck import full_model_gradcheck
 from .imageio import load_image, save_image
 from .metrics import evaluate
-from .model import attention_masks, mask_argmax_disparity, super_resolve
+from .model import attention_masks, mask_argmax_disparity, sr_pair
 from .backbone import extract_features
 from .tensor import Tensor, no_grad
 
@@ -168,10 +168,9 @@ def _cmd_sr(args) -> int:
         raise ValueError(
             f"model expects {params.img_channels}-channel images, got {left.shape[0]}"
         )
-    with no_grad():
-        sr_l, sr_r, _, _ = super_resolve(Tensor(left[None]), Tensor(right[None]), params)
-    save_image(args.out_left, np.clip(sr_l.data[0], 0.0, 1.0))
-    save_image(args.out_right, np.clip(sr_r.data[0], 0.0, 1.0))
+    sr_l, sr_r = sr_pair(params, left, right)
+    save_image(args.out_left, np.clip(sr_l, 0.0, 1.0))
+    save_image(args.out_right, np.clip(sr_r, 0.0, 1.0))
     print(f"wrote {args.out_left} and {args.out_right}")
     return 0
 

@@ -20,7 +20,7 @@ import functools
 import os
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -186,47 +186,13 @@ def flip_vertical(sample: StereoSample) -> StereoSample:
     )
 
 
-def crop_sample(
-    sample: StereoSample, top: int, left: int, crop_h: int, crop_w: int
-) -> StereoSample:
-    """Co-located crop of both eyes at LR offsets (top, left)."""
-    _, h, w = sample.lr_left.shape
-    if top < 0 or left < 0 or top + crop_h > h or left + crop_w > w:
-        raise ValueError(
-            f"crop {crop_h}x{crop_w}@({top},{left}) exceeds LR frame {h}x{w}"
-        )
-    s = sample.scale
-    return StereoSample(
-        lr_left=sample.lr_left[:, top : top + crop_h, left : left + crop_w].copy(),
-        lr_right=sample.lr_right[:, top : top + crop_h, left : left + crop_w].copy(),
-        hr_left=sample.hr_left[
-            :, s * top : s * (top + crop_h), s * left : s * (left + crop_w)
-        ].copy(),
-        hr_right=sample.hr_right[
-            :, s * top : s * (top + crop_h), s * left : s * (left + crop_w)
-        ].copy(),
-        scale=s,
-    )
-
-
-def augment(
-    sample: StereoSample,
-    rng: np.random.Generator,
-    crop_h: Optional[int] = None,
-    crop_w: Optional[int] = None,
-) -> StereoSample:
-    """Random x/y flips plus an optional random co-located crop."""
+def augment(sample: StereoSample, rng: np.random.Generator) -> StereoSample:
+    """Random x/y flips, each with probability 1/2."""
     out = sample
     if rng.random() < 0.5:
         out = flip_horizontal(out)
     if rng.random() < 0.5:
         out = flip_vertical(out)
-    if crop_h is not None and crop_w is not None:
-        _, h, w = out.lr_left.shape
-        if h >= crop_h and w >= crop_w:
-            top = int(rng.integers(0, h - crop_h + 1))
-            left = int(rng.integers(0, w - crop_w + 1))
-            out = crop_sample(out, top, left, crop_h, crop_w)
     return out
 
 

@@ -51,6 +51,15 @@ def _read_token(fh) -> bytes:
         token += ch
 
 
+def _read_exact(fh, path: str, n: int, what: str) -> bytes:
+    """Read n bytes, checked against the file size first so a corrupt
+    header never asks for a huge buffer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated {what}, needs {n} bytes, {left} left")
+    return fh.read(n)
+
+
 def load_image(path: str) -> np.ndarray:
     """Read a binary PGM/PPM file into a [C,H,W] float32 array in [0,1]."""
     if not os.path.exists(path):
@@ -64,13 +73,10 @@ def load_image(path: str) -> np.ndarray:
         maxval = int(_read_token(fh))
         if maxval != _MAXVAL:
             raise ValueError(f"{path}: unsupported maxval {maxval} (want {_MAXVAL})")
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: bad raster extents {w}x{h}")
         channels = 1 if magic == b"P5" else 3
-        count = w * h * channels
-        raw = fh.read(count)
-        if len(raw) != count:
-            raise ValueError(
-                f"{path}: truncated pixel data, expected {count} bytes got {len(raw)}"
-            )
+        raw = _read_exact(fh, path, w * h * channels, "pixel data")
     arr = np.frombuffer(raw, dtype=np.uint8)
     if channels == 1:
         arr = arr.reshape(1, h, w)
@@ -95,11 +101,9 @@ def load_disparity(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise FileNotFoundError(f"disparity file not found: {path}")
     with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path}: truncated disparity header")
-        h, w = np.frombuffer(header, dtype="<u4")
-        raw = fh.read(int(h) * int(w) * 4)
-        if len(raw) != int(h) * int(w) * 4:
-            raise ValueError(f"{path}: truncated disparity payload")
-    return np.frombuffer(raw, dtype="<f4").reshape(int(h), int(w)).copy()
+        header = _read_exact(fh, path, 8, "disparity header")
+        h, w = np.frombuffer(header, dtype="<u4").tolist()
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: bad disparity extents {h}x{w}")
+        raw = _read_exact(fh, path, 4 * h * w, "disparity payload")
+    return np.frombuffer(raw, dtype="<f4").reshape(h, w).copy()

@@ -82,11 +82,11 @@ def smoothness_loss(mask: Tensor, diagonal: bool = True) -> Tensor:
 
     The second term runs along the (column, match) diagonal by default;
     ``diagonal=False`` swaps in a plain difference along the match axis.
-    Out-of-range neighbors are dropped. Axes are (.., i, j, k) with i the
+    Out-of-range neighbors are dropped. Axes are (n, i, j, k) with i the
     image row and (j, k) the square attention matrix.
     """
-    if mask.ndim == 3:
-        mask = mask.reshape((1,) + tuple(mask.shape))
+    if mask.ndim != 4:
+        raise ValueError(f"smoothness_loss needs an [N,H,W,W] mask, got {mask.shape}")
     row_diff = mask[:, :-1, :, :] - mask[:, 1:, :, :]
     if diagonal:
         second = mask[:, :, :-1, :-1] - mask[:, :, 1:, 1:]
@@ -99,10 +99,8 @@ def cycle_loss(m_lr: Tensor, m_rl: Tensor) -> Tensor:
     """Mean L1 distance of both round-trip row products from the identity."""
     if m_lr.shape != m_rl.shape:
         raise ValueError(f"mask shapes differ: {m_lr.shape} vs {m_rl.shape}")
-    single = m_lr.ndim == 3
-    if single:
-        m_lr = m_lr.reshape((1,) + tuple(m_lr.shape))
-        m_rl = m_rl.reshape((1,) + tuple(m_rl.shape))
+    if m_lr.ndim != 4:
+        raise ValueError(f"cycle_loss needs [N,H,W,W] masks, got {m_lr.shape}")
     n, h, w, _ = m_lr.shape
     lr_rows = m_lr.reshape(n * h, w, w)
     rl_rows = m_rl.reshape(n * h, w, w)
@@ -114,7 +112,7 @@ def cycle_loss(m_lr: Tensor, m_rl: Tensor) -> Tensor:
 
 def _upsample_renorm(mask: Tensor, s: int) -> Tensor:
     """Trilinear upsample of a mask volume, rows rescaled back to sum 1."""
-    up = T.trilinear_upsample(mask, (s, s, s))
+    up = T.trilinear_upsample(mask, s)
     return up / up.sum(axis=-1, keepdims=True)
 
 

@@ -9,7 +9,7 @@ from typing import List, Optional
 import numpy as np
 
 from .data import bicubic_resize, manifest_frames
-from .tensor import Tensor, no_grad
+from .model import sr_pair
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -137,14 +137,7 @@ def evaluate(
         elif method == "model":
             if params is None:
                 raise ValueError("method 'model' requires params")
-            from .model import super_resolve
-
-            with no_grad():
-                out_l, out_r, _, _ = super_resolve(
-                    Tensor(frame.lr_left[None]), Tensor(frame.lr_right[None]), params
-                )
-            sr_left = out_l.data[0]
-            sr_right = out_r.data[0]
+            sr_left, sr_right = sr_pair(params, frame.lr_left, frame.lr_right)
         else:
             raise ValueError(f"unknown method {method!r}")
         image_id = f"{split}_{idx:03d}"

@@ -66,7 +66,6 @@ class ModelParams:
     scale: int
     channels: int
     img_channels: int
-    global_residual: bool = True
 
 
 def init_model(
@@ -75,7 +74,6 @@ def init_model(
     channels: int,
     img_channels: int = 1,
     dtype=np.float32,
-    global_residual: bool = True,
     zero_output: bool = True,
 ) -> ModelParams:
     if scale not in (2, 4):
@@ -100,7 +98,6 @@ def init_model(
         scale=scale,
         channels=channels,
         img_channels=img_channels,
-        global_residual=global_residual,
     )
 
 
@@ -157,15 +154,10 @@ def attention_masks(
 
 
 def warp(mask: Tensor, image: Tensor) -> Tensor:
-    """Apply a disparity mask row-wise: out[c,i,a] = sum_b mask[i,a,b]*img[c,i,b].
+    """Apply a disparity mask row-wise: out[n,c,i,a] = sum_b mask[n,i,a,b]*img[n,c,i,b].
 
-    Accepts a single mask [H,W,W] with image [C,H,W], or batched
-    [N,H,W,W] with [N,C,H,W].
+    Takes a batched mask [N,H,W,W] and image [N,C,H,W].
     """
-    single = mask.ndim == 3
-    if single:
-        mask = mask.reshape((1,) + tuple(mask.shape))
-        image = image.reshape((1,) + tuple(image.shape))
     if mask.ndim != 4 or image.ndim != 4:
         raise ValueError(f"warp got mask {mask.shape} and image {image.shape}")
     n, h, w, w2 = mask.shape
@@ -179,10 +171,7 @@ def warp(mask: Tensor, image: Tensor) -> Tensor:
     img_rows = _rows_as_batch(image)  # [N*H, W, C]
     mask_rows = mask.reshape(n * h, w, w)
     out_rows = T.batch_matmul(mask_rows, img_rows)  # [N*H, W, C]
-    out = out_rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    if single:
-        out = out.reshape(c, h, w)
-    return out
+    return out_rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -203,13 +192,12 @@ def reconstruct_sr(
     lr_image: Tensor,
     params: AttentionParams,
     scale: int,
-    global_residual: bool = True,
 ) -> Tensor:
     """Fuse own and warped-other features and upscale to the SR image.
 
-    With ``global_residual`` the head predicts only the detail added on
-    top of the bicubic upsample of the LR input, so a zero-weight network
-    reproduces the bicubic baseline exactly.
+    The head predicts only the detail added on top of the bicubic
+    upsample of the LR input, so a zero-weight network reproduces the
+    bicubic baseline exactly.
     """
     fused = conv(T.concat([f_own, f_other_warped], axis=1), params.fuse)
     h = residual_block(fused, params.recon1)
@@ -217,9 +205,7 @@ def reconstruct_sr(
     h = conv(h, params.upscale, padding=1)
     h = T.pixel_shuffle(h, scale)
     out = conv(h, params.output, padding=1)
-    if global_residual:
-        out = out + _bicubic_upsample_batch(lr_image, scale)
-    return out
+    return out + _bicubic_upsample_batch(lr_image, scale)
 
 
 def super_resolve(
@@ -232,22 +218,23 @@ def super_resolve(
     f_left, f_right = extract_features(lr_left, lr_right, params.extractor)
     m_lr, m_rl = attention_masks(f_left, f_right, params.attention)
     sr_left = reconstruct_sr(
-        f_left,
-        warp(m_rl, f_right),
-        lr_left,
-        params.attention,
-        params.scale,
-        params.global_residual,
+        f_left, warp(m_rl, f_right), lr_left, params.attention, params.scale
     )
     sr_right = reconstruct_sr(
-        f_right,
-        warp(m_lr, f_left),
-        lr_right,
-        params.attention,
-        params.scale,
-        params.global_residual,
+        f_right, warp(m_lr, f_left), lr_right, params.attention, params.scale
     )
     return sr_left, sr_right, m_lr, m_rl
+
+
+def sr_pair(
+    params: ModelParams, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Super-resolve one [C,h,w] LR pair without a graph; returns (sr_left, sr_right)."""
+    with T.no_grad():
+        sr_left, sr_right, _, _ = super_resolve(
+            Tensor(left[None]), Tensor(right[None]), params
+        )
+    return sr_left.data[0], sr_right.data[0]
 
 
 @dataclass

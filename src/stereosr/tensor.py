@@ -601,34 +601,28 @@ def _apply_matrix_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndar
     return np.moveaxis(out, -1, axis)
 
 
-def trilinear_upsample(volume: Tensor, factors) -> Tensor:
-    """Trilinear upsampling of the last three axes by integer factors.
+def trilinear_upsample(volume: Tensor, s: int) -> Tensor:
+    """Trilinear upsampling of the last three axes by one integer factor s.
 
     Uses align_corners=False coordinates with edge clamping, applied
     separably one axis at a time. Leading axes are treated as batch.
     """
-    fd, fh, fw = (int(f) for f in factors)
-    if min(fd, fh, fw) < 1:
-        raise ValueError(f"upsample factors must be >= 1, got {factors}")
+    s = int(s)
+    if s < 1:
+        raise ValueError(f"upsample factor must be >= 1, got {s}")
     if volume.ndim < 3:
         raise ValueError(f"trilinear_upsample needs >= 3 axes, got shape {volume.shape}")
-    dtype = volume.dtype
-    mats = []
-    for ax_offset, f in zip((-3, -2, -1), (fd, fh, fw)):
-        n = volume.shape[ax_offset]
-        mats.append(None if f == 1 else _linear_interp_matrix(n, f, dtype))
+    axes = (-3, -2, -1)
+    mats = [_linear_interp_matrix(volume.shape[ax], s, volume.dtype) for ax in axes]
 
     out = volume.data
-    for ax_offset, M in zip((-3, -2, -1), mats):
-        if M is not None:
-            out = _apply_matrix_along_axis(M, out, ax_offset)
+    for ax, M in zip(axes, mats):
+        out = _apply_matrix_along_axis(M, out, ax)
 
     def vjp(g):
-        gx = g
-        for ax_offset, M in zip((-3, -2, -1), mats):
-            if M is not None:
-                gx = _apply_matrix_along_axis(M.T, gx, ax_offset)
-        return (gx,)
+        for ax, M in zip(axes, mats):
+            g = _apply_matrix_along_axis(M.T, g, ax)
+        return (g,)
 
     return _make(np.ascontiguousarray(out), (volume,), vjp, "trilinear_upsample")
 

@@ -60,9 +60,7 @@ class TrainConfig:
     manifest: str = ""
     out_dir: str = "runs/default"
     checkpoint_every: int = 10
-    global_residual: bool = True
     smooth_diagonal: bool = True
-    use_augment: bool = True
 
     def resolved_batch(self) -> int:
         if self.batch is not None:
@@ -149,6 +147,9 @@ def apply_config(cfg: TrainConfig, values: Dict[str, str]) -> TrainConfig:
 # ----------------------------------------------------------------------
 CKPT_MAGIC = b"SSRCKPT\x00"
 CKPT_VERSION = 1
+# counts travel as float32 records, which hold every integer only up to
+# 2**24; restore_model rejects larger ones
+_COUNT_MAX = 1 << 24
 
 
 def _write_record(fh, name: str, arr: np.ndarray) -> None:
@@ -166,8 +167,8 @@ def _seed_limbs(seed: int) -> np.ndarray:
     return np.array([(seed >> (16 * k)) & 0xFFFF for k in range(4)], dtype="<f4")
 
 
-def _limbs_seed(limbs: np.ndarray) -> int:
-    return sum(int(round(float(v))) << (16 * k) for k, v in enumerate(limbs))
+def _limbs_seed(limbs: List[int]) -> int:
+    return sum(v << (16 * k) for k, v in enumerate(limbs))
 
 
 def save_checkpoint(
@@ -198,9 +199,8 @@ def save_checkpoint(
             "meta.scale": np.array([params.scale], dtype="<f4"),
             "meta.channels": np.array([params.channels], dtype="<f4"),
             "meta.img_channels": np.array([params.img_channels], dtype="<f4"),
-            "meta.global_residual": np.array(
-                [1.0 if params.global_residual else 0.0], dtype="<f4"
-            ),
+            # the head always adds the bicubic upsample; readers check this
+            "meta.global_residual": np.array([1.0], dtype="<f4"),
         }
         for name, arr in meta.items():
             _write_record(fh, name, arr)
@@ -263,29 +263,57 @@ def _record(ckpt: Dict[str, np.ndarray], key: str, shape: Tuple[int, ...]) -> np
 def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, Dict[str, float]]:
     """Rebuild model params and optimizer state from a loaded checkpoint.
 
-    Raises ValueError for a missing or misshapen record.
+    Raises ValueError for a missing or misshapen record, or a meta value
+    out of range. The model extents are checked against the entry conv's
+    weight before any parameter is allocated.
     """
 
     def scalar(key: str) -> float:
         return float(_record(ckpt, f"meta.{key}", (1,))[0])
 
+    def integers(key: str, size: int, low: int, high: int) -> List[int]:
+        values = _record(ckpt, f"meta.{key}", (size,)).tolist()
+        if not all(math.isfinite(v) and v.is_integer() and low <= v <= high for v in values):
+            raise ValueError(
+                f"checkpoint record 'meta.{key}' holds {values}, "
+                f"expected integers in [{low}, {high}]"
+            )
+        return [int(v) for v in values]
+
+    def count(key: str, low: int = 0) -> int:
+        return integers(key, 1, low, _COUNT_MAX)[0]
+
     meta = {
-        "epochs_done": int(scalar("epochs_done")),
-        "global_step": int(scalar("global_step")),
-        "adam_t": int(scalar("adam_t")),
-        "seed": _limbs_seed(_record(ckpt, "meta.seed", (4,))),
+        "epochs_done": count("epochs_done"),
+        "global_step": count("global_step"),
+        "adam_t": count("adam_t"),
+        "seed": _limbs_seed(integers("seed", 4, 0, 0xFFFF)),
         "alpha": scalar("alpha"),
-        "scale": int(scalar("scale")),
-        "channels": int(scalar("channels")),
-        "img_channels": int(scalar("img_channels")),
-        "global_residual": bool(scalar("global_residual")),
+        "scale": count("scale"),
+        "channels": count("channels", 1),
+        "img_channels": count("img_channels", 1),
     }
+    if meta["scale"] not in (2, 4):
+        raise ValueError(f"checkpoint record 'meta.scale' holds {meta['scale']}, expected 2 or 4")
+    if scalar("global_residual") != 1.0:
+        raise ValueError(
+            "checkpoint record 'meta.global_residual' is not 1: "
+            "only the bicubic-residual head is supported"
+        )
+    entry = "param.extractor.entry.weight"
+    if entry not in ckpt:
+        raise ValueError(f"checkpoint missing record '{entry}'")
+    if ckpt[entry].shape[:2] != (meta["channels"], meta["img_channels"]):
+        raise ValueError(
+            f"checkpoint record '{entry}' has shape {ckpt[entry].shape}, but "
+            f"meta.channels and meta.img_channels are "
+            f"{meta['channels']} and {meta['img_channels']}"
+        )
     params = init_model(
         np.random.default_rng(0),
         scale=meta["scale"],
         channels=meta["channels"],
         img_channels=meta["img_channels"],
-        global_residual=meta["global_residual"],
     )
     adam = AdamState(t=meta["adam_t"])
     for name, p in named_parameters(params):
@@ -363,7 +391,6 @@ def train(
             scale=cfg.scale,
             channels=cfg.channels,
             img_channels=cfg.img_channels,
-            global_residual=cfg.global_residual,
         )
         adam = adam_init(named_parameters(params))
         start_epoch = 0
@@ -389,9 +416,7 @@ def train(
             epoch_total = 0.0
             n_steps = 0
             for b0 in range(0, len(order), batch):
-                samples = [patches[i] for i in order[b0 : b0 + batch]]
-                if cfg.use_augment:
-                    samples = [augment(s, aug_rng) for s in samples]
+                samples = [augment(patches[i], aug_rng) for i in order[b0 : b0 + batch]]
                 lr_l, lr_r, hr_l, hr_r = batch_tensors(samples)
                 outputs = forward_full(lr_l, lr_r, params)
                 total, breakdown = compute_losses(

@@ -157,6 +157,41 @@ class TestSr:
             assert code == 1, n
             assert err.startswith("error: ") and "checkpoint" in err, (n, err)
 
+    @pytest.mark.parametrize(
+        "record,value",
+        [("channels", np.inf), ("channels", 1e9), ("epochs_done", np.nan),
+         ("img_channels", 3.0), ("global_residual", 0.0)],
+    )
+    def test_bad_meta_value_exits_1(self, checkpoint, tmp_path, capsys, record, value):
+        with open(checkpoint, "rb") as fh:
+            blob = bytearray(fh.read())
+        name = f"meta.{record}".encode("ascii")
+        at = blob.index(name) + len(name) + 8  # past rank and the one extent
+        blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+        bad = str(tmp_path / "bad.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        image = str(tmp_path / "lr.pgm")
+        save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)[0].lr_left)
+        code = main([
+            "sr", "--checkpoint", bad, "--left", image, "--right", image,
+            "--out-left", str(tmp_path / "o1.pgm"), "--out-right", str(tmp_path / "o2.pgm"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "checkpoint record" in err, err
+
+    def test_huge_image_header_exits_1(self, checkpoint, tmp_path, capsys):
+        image = str(tmp_path / "huge.pgm")
+        with open(image, "wb") as fh:
+            fh.write(b"P5\n9999999 9999999\n255\n" + b"\x00" * 16)
+        code = main([
+            "sr", "--checkpoint", checkpoint, "--left", image, "--right", image,
+            "--out-left", str(tmp_path / "o1.pgm"), "--out-right", str(tmp_path / "o2.pgm"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDumpMasks:
     def test_writes_disparity_images(self, dataset, checkpoint, tmp_path):

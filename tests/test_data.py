@@ -10,7 +10,6 @@ from stereosr.data import (
     StereoSample,
     augment,
     bicubic_resize,
-    crop_sample,
     extract_patches,
     flip_horizontal,
     flip_vertical,
@@ -192,6 +191,25 @@ class TestAugment:
         validate_sample(flip_horizontal(frame))
         validate_sample(flip_vertical(frame))
 
+    def test_augment_is_one_of_four_flips_and_draws_twice(self, rng):
+        frame = make_frame(rng, 12, 20)
+        flips = [frame, flip_horizontal(frame), flip_vertical(frame)]
+        flips.append(flip_vertical(flips[1]))
+        seen = set()
+        for seed in range(16):
+            gen = np.random.default_rng(seed)
+            out = augment(frame, gen)
+            validate_sample(out)
+            seen.update(
+                k for k, f in enumerate(flips)
+                if all(np.array_equal(getattr(out, a), getattr(f, a))
+                       for a in ("lr_left", "lr_right", "hr_left", "hr_right"))
+            )
+            ref = np.random.default_rng(seed)
+            ref.random(2)
+            assert gen.random() == ref.random()
+        assert seen == {0, 1, 2, 3}
+
     def test_horizontal_flip_preserves_epipolar_shift(self):
         """Mirror+swap keeps right[x] = left[x+d] with the same positive d."""
         sample, _ = synth_stereo(5, 32, 64, (3.0, 3.0), scale=2)
@@ -200,18 +218,6 @@ class TestAugment:
         got = flipped.hr_right[:, :, d:-d]
         want = flipped.hr_left[:, :, 2 * d :]
         np.testing.assert_allclose(got[:, :, : want.shape[2]], want, atol=1e-5)
-
-    def test_random_crop_is_colocated(self, rng):
-        frame = make_frame(rng, 16, 24)
-        out = augment(frame, np.random.default_rng(0), crop_h=8, crop_w=12)
-        assert out.lr_left.shape == (1, 8, 12)
-        assert out.hr_left.shape == (1, 16, 24)
-        validate_sample(out)
-
-    def test_crop_bounds_checked(self, rng):
-        frame = make_frame(rng, 8, 8)
-        with pytest.raises(ValueError, match="exceeds"):
-            crop_sample(frame, 4, 4, 8, 8)
 
 
 class TestSynthStereo:
@@ -289,6 +295,45 @@ class TestImageIO:
             fh.write(b"P3\n1 1\n255\n0")
         with pytest.raises(ValueError, match="magic"):
             load_image(path)
+
+    @pytest.mark.parametrize(
+        "name,save,load",
+        [
+            ("x.pgm", lambda p, a: save_image(p, a[:1]), load_image),
+            ("x.ppm", save_image, load_image),
+            ("x.disp", lambda p, a: save_disparity(p, a[0]), load_disparity),
+        ],
+        ids=["pgm", "ppm", "disp"],
+    )
+    def test_every_truncation_rejected(self, rng, tmp_path, name, save, load):
+        path = os.path.join(tmp_path, name)
+        save(path, rng.random((3, 4, 5)).astype(np.float32))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        load(path)
+        for n in range(len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:n])
+            with pytest.raises(ValueError):
+                load(path)
+
+    @pytest.mark.parametrize(
+        "header", [b"P5\n9999999 9999999\n255\n", b"P5\n-2 -3\n255\n", b"P6\n0 4\n255\n"]
+    )
+    def test_bad_raster_extents_rejected(self, tmp_path, header):
+        path = os.path.join(tmp_path, "bad.pgm")
+        with open(path, "wb") as fh:
+            fh.write(header + b"\x00" * 64)
+        with pytest.raises(ValueError, match="extents|truncated"):
+            load_image(path)
+
+    @pytest.mark.parametrize("extents", [(0, 4), (4, 0), (0xFFFFFFFF, 0xFFFFFFFF)])
+    def test_bad_disparity_extents_rejected(self, tmp_path, extents):
+        path = os.path.join(tmp_path, "bad.disp")
+        with open(path, "wb") as fh:
+            fh.write(np.array(extents, dtype="<u4").tobytes() + b"\x00" * 64)
+        with pytest.raises(ValueError, match="extents|truncated"):
+            load_disparity(path)
 
 
 class TestManifest:

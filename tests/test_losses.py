@@ -175,10 +175,10 @@ class TestPhotometric:
 
 class TestSmoothness:
     def test_constant_mask_zero(self):
-        assert smoothness_loss(Tensor(np.full((3, 4, 4), 0.25))).item() == 0.0
+        assert smoothness_loss(Tensor(np.full((1, 3, 4, 4), 0.25))).item() == 0.0
 
     def test_uniform_mask_zero(self):
-        m = Tensor(np.full((2, 5, 5), 0.2))
+        m = Tensor(np.full((1, 2, 5, 5), 0.2))
         assert smoothness_loss(m).item() == 0.0
 
     def test_toeplitz_slices_hand_enumeration(self):
@@ -188,25 +188,29 @@ class TestSmoothness:
         5 entries, so term1 = 5 / (1*3*3); both slices are Toeplitz, so
         term2 = 0.
         """
-        m = np.zeros((2, 3, 3))
-        m[0] = np.eye(3)
-        m[1] = np.diag(np.ones(2), k=-1)
+        m = np.zeros((1, 2, 3, 3))
+        m[0, 0] = np.eye(3)
+        m[0, 1] = np.diag(np.ones(2), k=-1)
         loss = smoothness_loss(Tensor(m, dtype=np.float64))
         assert loss.item() == pytest.approx(5.0 / 9.0, abs=1e-9)
 
     def test_alternative_second_term(self):
         """The non-diagonal variant differences along the match axis only."""
-        m = np.zeros((1, 2, 2))
-        m[0, 0] = [1.0, 0.0]
-        m[0, 1] = [1.0, 0.0]
+        m = np.zeros((1, 1, 2, 2))
+        m[0, 0, 0] = [1.0, 0.0]
+        m[0, 0, 1] = [1.0, 0.0]
         loss = smoothness_loss(Tensor(m, dtype=np.float64), diagonal=False)
         # term1 = 0 (rows identical along i... only one i), term2 = |1-0| twice / 2
         assert loss.item() == pytest.approx(1.0, abs=1e-9)
 
+    def test_unbatched_mask_rejected(self):
+        with pytest.raises(ValueError, match=r"\[N,H,W,W\]"):
+            smoothness_loss(Tensor(np.full((3, 4, 4), 0.25)))
+
 
 class TestCycle:
     def test_identity_masks_zero(self):
-        eye = np.broadcast_to(np.eye(5), (3, 5, 5)).copy()
+        eye = np.broadcast_to(np.eye(5), (1, 3, 5, 5)).copy()
         loss = cycle_loss(Tensor(eye, dtype=np.float64), Tensor(eye.copy(), dtype=np.float64))
         assert loss.item() == 0.0
 
@@ -219,7 +223,7 @@ class TestCycle:
 
     def test_uniform_masks_w4_derived_value(self):
         """Per-row |uniform - I| sums to 6; mean-reduced both ways -> 0.75."""
-        m = np.full((2, 4, 4), 0.25)
+        m = np.full((1, 2, 4, 4), 0.25)
         got = cycle_loss(Tensor(m, dtype=np.float64), Tensor(m.copy(), dtype=np.float64))
         # direct oracle
         prod = np.matmul(m, m)
@@ -230,6 +234,11 @@ class TestCycle:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             cycle_loss(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 4, 4))))
+
+    def test_unbatched_masks_rejected(self):
+        m = np.full((2, 4, 4), 0.25)
+        with pytest.raises(ValueError, match=r"\[N,H,W,W\]"):
+            cycle_loss(Tensor(m), Tensor(m.copy()))
 
 
 class TestTotalLoss:

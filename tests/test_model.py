@@ -91,35 +91,39 @@ class TestAttentionMasks:
 
 class TestWarp:
     def test_identity_mask_is_identity(self, rng):
-        img = rng.random((2, 3, 5)).astype(np.float32)
-        mask = np.broadcast_to(np.eye(5, dtype=np.float32), (3, 5, 5)).copy()
+        img = rng.random((1, 2, 3, 5)).astype(np.float32)
+        mask = np.broadcast_to(np.eye(5, dtype=np.float32), (1, 3, 5, 5)).copy()
         out = warp(Tensor(mask), Tensor(img))
         np.testing.assert_allclose(out.data, img, atol=1e-7)
 
     def test_uniform_mask_averages_rows(self, rng):
-        img = rng.random((1, 4, 6)).astype(np.float64)
-        mask = np.full((4, 6, 6), 1.0 / 6.0)
+        img = rng.random((1, 1, 4, 6)).astype(np.float64)
+        mask = np.full((1, 4, 6, 6), 1.0 / 6.0)
         out = warp(Tensor(mask, dtype=np.float64), Tensor(img, dtype=np.float64))
-        want = np.repeat(img.mean(axis=2, keepdims=True), 6, axis=2)
+        want = np.repeat(img.mean(axis=3, keepdims=True), 6, axis=3)
         np.testing.assert_allclose(out.data, want, atol=1e-9)
 
     def test_one_hot_shift_matches_direct_shift(self, rng):
-        img = rng.random((1, 4, 8)).astype(np.float64)
-        mask = one_hot_shift_mask(4, 8, 2)
+        img = rng.random((1, 1, 4, 8)).astype(np.float64)
+        mask = one_hot_shift_mask(4, 8, 2)[None]
         out = warp(Tensor(mask, dtype=np.float64), Tensor(img, dtype=np.float64))
-        np.testing.assert_allclose(out.data[:, :, 2:], img[:, :, :-2], atol=1e-12)
+        np.testing.assert_allclose(out.data[..., 2:], img[..., :-2], atol=1e-12)
 
     def test_linearity(self, rng):
-        mask = Tensor(np.abs(rng.random((3, 5, 5))), dtype=np.float64)
-        x = Tensor(rng.random((2, 3, 5)), dtype=np.float64)
-        y = Tensor(rng.random((2, 3, 5)), dtype=np.float64)
+        mask = Tensor(np.abs(rng.random((1, 3, 5, 5))), dtype=np.float64)
+        x = Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64)
+        y = Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64)
         lhs = warp(mask, Tensor(0.3 * x.data + 1.7 * y.data, dtype=np.float64))
         rhs = 0.3 * warp(mask, x).data + 1.7 * warp(mask, y).data
         np.testing.assert_allclose(lhs.data, rhs, atol=1e-5)
 
     def test_extent_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="extents"):
-            warp(Tensor(np.zeros((4, 6, 6))), Tensor(np.zeros((1, 4, 5))))
+            warp(Tensor(np.zeros((1, 4, 6, 6))), Tensor(np.zeros((1, 1, 4, 5))))
+
+    def test_unbatched_mask_rejected(self):
+        with pytest.raises(ValueError, match="warp got"):
+            warp(Tensor(np.zeros((4, 6, 6))), Tensor(np.zeros((1, 4, 6))))
 
 
 class TestReconstruct:

@@ -347,19 +347,19 @@ def upsample_1d_oracle(vec, factor):
 class TestTrilinearUpsample:
     def test_constant_preserved(self):
         v = Tensor(np.full((2, 3, 4), 0.5))
-        out = T.trilinear_upsample(v, (2, 3, 2))
+        out = T.trilinear_upsample(v, 3)
         np.testing.assert_allclose(out.data, 0.5, atol=1e-7)
-        assert out.shape == (4, 9, 8)
+        assert out.shape == (6, 9, 12)
 
     def test_unit_factors_identity(self, rng):
         v = rng.normal(size=(2, 3, 4))
-        out = T.trilinear_upsample(Tensor(v), (1, 1, 1))
+        out = T.trilinear_upsample(Tensor(v), 1)
         np.testing.assert_allclose(out.data, v, atol=0)
 
     def test_hot_corner_matches_separable_oracle(self):
         v = np.zeros((2, 2, 2))
         v[0, 0, 0] = 1.0
-        got = T.trilinear_upsample(Tensor(v, dtype=np.float64), (2, 2, 2)).data
+        got = T.trilinear_upsample(Tensor(v, dtype=np.float64), 2).data
         # apply the 1-D oracle along each axis in turn
         want = v
         for axis in range(3):
@@ -368,15 +368,15 @@ class TestTrilinearUpsample:
 
     def test_batched_leading_axes(self, rng):
         v = rng.normal(size=(3, 2, 2, 2))
-        got = T.trilinear_upsample(Tensor(v, dtype=np.float64), (2, 2, 2)).data
+        got = T.trilinear_upsample(Tensor(v, dtype=np.float64), 2).data
         for i in range(3):
-            single = T.trilinear_upsample(Tensor(v[i], dtype=np.float64), (2, 2, 2)).data
+            single = T.trilinear_upsample(Tensor(v[i], dtype=np.float64), 2).data
             np.testing.assert_allclose(got[i], single, atol=1e-12)
 
     def test_gradient(self, rng):
         v = Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True, dtype=np.float64)
         report = check_gradients(
-            lambda: (T.trilinear_upsample(v, (2, 2, 2)) ** 2).sum(), [("v", v)],
+            lambda: (T.trilinear_upsample(v, 2) ** 2).sum(), [("v", v)],
             elementwise=True,
         )
         assert max(report.values()) < 1e-3

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from stereosr import training
 from stereosr.data import generate_dataset
 from stereosr.model import init_model
 from stereosr.optim import (
@@ -164,10 +165,10 @@ class TestConfig:
     def test_config_file_roundtrip(self, tmp_path):
         path = os.path.join(tmp_path, "run.cfg")
         with open(path, "w") as fh:
-            fh.write("# comment\nalpha = 0.01\nepochs=5\nuse_augment=false\nbatch=2\n")
+            fh.write("# comment\nalpha = 0.01\nepochs=5\nsmooth_diagonal=false\nbatch=2\n")
         cfg = apply_config(TrainConfig(), read_config_file(path))
         assert cfg.alpha == 0.01 and cfg.epochs == 5
-        assert cfg.use_augment is False and cfg.batch == 2
+        assert cfg.smooth_diagonal is False and cfg.batch == 2
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -228,6 +229,40 @@ class TestCheckpoint:
         first = next(named_parameters(params))[0]
         with pytest.raises(ValueError, match=f"truncated in record 'param.{first}'"):
             load_checkpoint(path)
+
+    @pytest.fixture
+    def ckpt(self, rng, tmp_path):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "k.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        return load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["epochs_done", "global_step", "adam_t", "scale", "channels", "img_channels", "seed"]
+    )
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0, 2.5, 1e9])
+    def test_bad_meta_count_names_the_record(self, ckpt, key, value):
+        ckpt[f"meta.{key}"][0] = value
+        with pytest.raises(ValueError, match=f"'meta.{key}'"):
+            restore_model(ckpt)
+
+    @pytest.mark.parametrize(
+        "key,value,record",
+        [
+            ("scale", 3.0, "meta.scale"),
+            ("global_residual", 0.0, "meta.global_residual"),
+            ("channels", 1000.0, "param.extractor.entry.weight"),
+            ("img_channels", 3.0, "param.extractor.entry.weight"),
+        ],
+    )
+    def test_bad_meta_fails_before_allocation(self, ckpt, monkeypatch, key, value, record):
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_model ran on a bad checkpoint")
+
+        monkeypatch.setattr(training, "init_model", no_init)
+        ckpt[f"meta.{key}"][0] = value
+        with pytest.raises(ValueError, match=f"'{record}'"):
+            restore_model(ckpt)
 
     @pytest.mark.parametrize("prefix", ["adam.m.", "adam.v.", "meta."])
     def test_missing_record_rejected(self, rng, tmp_path, prefix):
