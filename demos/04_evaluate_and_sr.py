@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 
+from stereosr.data import bicubic_resize, degrade
 from stereosr.imageio import load_image, save_image
 from stereosr.metrics import evaluate
 from stereosr.model import sr_pair
@@ -32,14 +33,10 @@ print(f"gain    : {model.mean_psnr - base.mean_psnr:+.3f} dB after 2 epochs")
 # side-by-side panel for one test frame: LR (upscaled) | model SR | ground truth
 left = load_image(os.path.join(out, "dataset", "test_000_L.pgm"))
 right = load_image(os.path.join(out, "dataset", "test_000_R.pgm"))
-h, w = left.shape[1] // 2, left.shape[2] // 2
-from stereosr.data import bicubic_resize
-
-lr_l = np.clip(bicubic_resize(left, h, w), 0, 1)
-lr_r = np.clip(bicubic_resize(right, h, w), 0, 1)
-sr_l, _ = sr_pair(params, lr_l, lr_r)
+lr_l = degrade(left, 2)
+sr_l, _ = sr_pair(params, lr_l, degrade(right, 2))
 panel = np.concatenate(
-    [bicubic_resize(lr_l, 2 * h, 2 * w), np.clip(sr_l, 0, 1), left], axis=2
+    [bicubic_resize(lr_l, *left.shape[1:]), np.clip(sr_l, 0, 1), left], axis=2
 )
 save_image(os.path.join(out, "panel_bicubic_sr_hr.pgm"), panel)
 print("wrote", os.path.join(out, "panel_bicubic_sr_hr.pgm"))

@@ -10,11 +10,9 @@ import sys
 
 import numpy as np
 
-from stereosr.backbone import extract_features
 from stereosr.data import disparity_sidecar_path, load_frame, read_manifest
 from stereosr.imageio import load_disparity, save_image
-from stereosr.model import attention_masks, mask_argmax_disparity
-from stereosr.tensor import Tensor, no_grad
+from stereosr.model import mask_argmax_disparity, masks_pair
 from stereosr.training import load_checkpoint, restore_model
 
 out = os.environ.get("STEREOSR_OUT_DIR", "demo_out")
@@ -27,13 +25,9 @@ params, _, _ = restore_model(load_checkpoint(ckpt))
 entry = [e for e in read_manifest(manifest) if e.split == "test"][0]
 frame = load_frame(entry, scale=2)
 
-with no_grad():
-    f_l, f_r = extract_features(
-        Tensor(frame.lr_left[None]), Tensor(frame.lr_right[None]), params.extractor
-    )
-    m_lr, m_rl = attention_masks(f_l, f_r, params.attention)
+m_lr, m_rl = masks_pair(params, frame.lr_left, frame.lr_right)
 
-recovered = mask_argmax_disparity(m_rl.data, "rl")
+recovered = mask_argmax_disparity(m_rl, "rl")
 truth_hr = load_disparity(disparity_sidecar_path(entry.left_path))
 truth_lr = truth_hr[::2, ::2] / 2.0
 
@@ -41,8 +35,8 @@ h, w = recovered.shape
 margin = int(truth_lr.max()) + 2
 inner = (slice(1, h - 1), slice(margin, w - margin))
 agree = np.mean(np.abs(recovered[inner] - truth_lr[inner]) <= 1.0)
-print(f"LR mask {m_rl.data.shape[1:]} rows sum to 1: "
-      f"{np.allclose(m_rl.data.sum(-1), 1.0, atol=1e-5)}")
+print(f"LR mask {m_rl.shape} rows sum to 1: "
+      f"{np.allclose(m_rl.sum(-1), 1.0, atol=1e-5)}")
 print(f"argmax disparity within 1 px of truth on {agree:.1%} of interior pixels")
 
 gray = np.clip(128.0 + 16.0 * recovered, 0, 255) / 255.0

@@ -16,13 +16,11 @@ import sys
 import numpy as np
 
 from . import training
-from .data import generate_dataset
+from .data import SCALES, generate_dataset
 from .gradcheck import full_model_gradcheck
 from .imageio import load_image, save_image
 from .metrics import evaluate
-from .model import attention_masks, mask_argmax_disparity, sr_pair
-from .backbone import extract_features
-from .tensor import Tensor, no_grad
+from .model import mask_argmax_disparity, masks_pair, sr_pair
 
 OUT_DIR_ENV = "STEREOSR_OUT_DIR"
 
@@ -48,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", default="6,2,2", help="train,val,test frame counts")
     p.add_argument("--size", default="128x256", help="HR frame size HxW")
     p.add_argument("--disparity", default="2,6", help="min,max disparity in HR pixels")
-    p.add_argument("--scale", type=int, default=2, choices=(2, 4))
+    p.add_argument("--scale", type=int, default=2, choices=SCALES)
     p.add_argument("--channels", type=int, default=1, choices=(1, 3))
 
     p = sub.add_parser("train", help="run the optimization loop")
@@ -62,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a method over a manifest split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--scale", type=int, default=2, choices=(2, 4))
+    p.add_argument("--scale", type=int, default=2, choices=SCALES)
     p.add_argument("--method", default="bicubic", choices=("bicubic", "model"))
     p.add_argument("--checkpoint", help="required for --method model")
     p.add_argument("--csv", help="report path (default: <out>/eval_<method>.csv)")
@@ -83,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", type=float, default=8.0, help="gray levels per pixel of disparity")
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    p.add_argument("--scale", type=int, default=2, choices=(2, 4))
+    p.add_argument("--scale", type=int, default=2, choices=SCALES)
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--patch", default="6x12", help="LR patch size HxW")
     p.add_argument("--seed", type=int, default=115)
@@ -177,14 +175,9 @@ def _cmd_sr(args) -> int:
 
 def _cmd_dump_masks(args) -> int:
     params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
-    left, right = _load_pair(args)
-    with no_grad():
-        f_l, f_r = extract_features(
-            Tensor(left[None]), Tensor(right[None]), params.extractor
-        )
-        m_lr, m_rl = attention_masks(f_l, f_r, params.attention)
-    disp_left = mask_argmax_disparity(m_rl.data, "rl")
-    disp_right = mask_argmax_disparity(m_lr.data, "lr")
+    m_lr, m_rl = masks_pair(params, *_load_pair(args))
+    disp_left = mask_argmax_disparity(m_rl, "rl")
+    disp_right = mask_argmax_disparity(m_lr, "lr")
     for path, disp in ((args.out_left, disp_left), (args.out_right, disp_right)):
         gray = np.clip(128.0 + args.gain * disp, 0, 255) / 255.0
         save_image(path, gray[None].astype(np.float32))

@@ -26,6 +26,8 @@ import numpy as np
 
 from .imageio import load_image, save_disparity, save_image
 
+SCALES = (2, 4)  # the supported super-resolution factors
+
 
 # ----------------------------------------------------------------------
 # sample container
@@ -43,8 +45,8 @@ class StereoSample:
 
 def validate_sample(sample: StereoSample) -> None:
     """Raise ValueError on any violated StereoSample invariant."""
-    if sample.scale not in (2, 4):
-        raise ValueError(f"scale must be 2 or 4, got {sample.scale}")
+    if sample.scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {sample.scale}")
     if sample.lr_left.shape != sample.lr_right.shape:
         raise ValueError(
             f"LR eyes differ in shape: {sample.lr_left.shape} vs {sample.lr_right.shape}"
@@ -102,17 +104,33 @@ def _bicubic_weights(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
 
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bicubic resampling of a [C,H,W] image to [C,out_h,out_w]."""
+    """Separable bicubic resampling of [..., C, H, W] images to [..., C, out_h, out_w].
+
+    Leading axes are batch axes. Each image gets the products (out_h,H) @ (H,C*W)
+    and (C*out_h,W) @ (W,out_w) of a lone [C,H,W] call, so it rounds the same.
+    """
     if out_h < 1 or out_w < 1:
         raise ValueError(f"target extents must be positive, got {out_h}x{out_w}")
     img = np.asarray(img)
-    if img.ndim != 3:
-        raise ValueError(f"bicubic_resize expects [C,H,W], got shape {img.shape}")
-    _, h, w = img.shape
+    if img.ndim < 3:
+        raise ValueError(f"bicubic_resize expects [..., C, H, W], got shape {img.shape}")
+    *lead, c, h, w = img.shape
     A_h = _bicubic_weights(h, out_h, img.dtype)
     A_w = _bicubic_weights(w, out_w, img.dtype)
-    rows = np.tensordot(A_h, img, axes=(1, 1)).transpose(1, 0, 2)  # [C,out_h,W]
-    return np.ascontiguousarray(np.tensordot(rows, A_w, axes=(2, 1)))
+    cols = img.reshape(-1, c, h, w).swapaxes(1, 2).reshape(-1, h, c * w)
+    rows = (A_h @ cols).reshape(-1, out_h, c, w).swapaxes(1, 2)  # [B, C, out_h, W]
+    out = rows.reshape(-1, c * out_h, w) @ A_w.T
+    return out.reshape(*lead, c, out_h, out_w)
+
+
+def degrade(hr: np.ndarray, scale: int) -> np.ndarray:
+    """Float32 LR frame of an HR [C,H,W] frame whose extents scale divides.
+
+    Bicubic down, then clipped: the overshoot can nudge values outside [0, 1].
+    """
+    _, h, w = hr.shape
+    lr = bicubic_resize(hr, h // scale, w // scale).astype(np.float32, copy=False)
+    return np.clip(lr, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +144,7 @@ def patch_offsets(extent: int, patch: int, stride: int) -> List[int]:
 
 
 def extract_patches(
-    sample: StereoSample, patch_h: int = 30, patch_w: int = 90, stride: int = 20
+    sample: StereoSample, patch_h: int, patch_w: int, stride: int
 ) -> List[StereoSample]:
     """Crop a full-frame pair into LR patches on a regular stride grid.
 
@@ -326,17 +344,13 @@ def synth_stereo(
         disparity = d_min + (d_max - d_min) * field
 
     hr_right = _shift_rows(hr_left, disparity)
-    lr_h, lr_w = frame_h // scale, frame_w // scale
     sample = StereoSample(
-        lr_left=bicubic_resize(hr_left, lr_h, lr_w).astype(np.float32),
-        lr_right=bicubic_resize(hr_right, lr_h, lr_w).astype(np.float32),
+        lr_left=degrade(hr_left, scale),
+        lr_right=degrade(hr_right, scale),
         hr_left=hr_left.astype(np.float32),
         hr_right=hr_right.astype(np.float32),
         scale=scale,
     )
-    # degradation can nudge values a hair outside [0,1]
-    sample.lr_left = np.clip(sample.lr_left, 0.0, 1.0)
-    sample.lr_right = np.clip(sample.lr_right, 0.0, 1.0)
     return sample, disparity.astype(np.float32)
 
 
@@ -422,24 +436,26 @@ def generate_dataset(
 
 
 def load_frame(entry: ManifestEntry, scale: int) -> StereoSample:
-    """Load one manifest frame and derive its LR pair by bicubic degradation."""
+    """Load one manifest frame, both eyes of one shape, and degrade it to its LR pair."""
     hr_left = load_image(entry.left_path)
     hr_right = load_image(entry.right_path)
+    if hr_left.shape != hr_right.shape:
+        raise ValueError(
+            f"frame eyes differ in shape: {entry.left_path} is {hr_left.shape}, "
+            f"{entry.right_path} is {hr_right.shape}"
+        )
     _, h, w = hr_left.shape
     if h % scale or w % scale:
         raise ValueError(
             f"frame {entry.left_path} extents {h}x{w} not divisible by scale {scale}"
         )
-    lr_left = np.clip(bicubic_resize(hr_left, h // scale, w // scale), 0.0, 1.0)
-    lr_right = np.clip(bicubic_resize(hr_right, h // scale, w // scale), 0.0, 1.0)
-    return StereoSample(lr_left, lr_right, hr_left, hr_right, scale)
+    return StereoSample(
+        degrade(hr_left, scale), degrade(hr_right, scale), hr_left, hr_right, scale
+    )
 
 
 def manifest_frames(manifest_path: str, split: str, scale: int) -> List[StereoSample]:
-    frames = [
-        load_frame(e, scale) for e in read_manifest(manifest_path) if e.split == split
-    ]
-    return frames
+    return [load_frame(e, scale) for e in read_manifest(manifest_path) if e.split == split]
 
 
 def manifest_patches(

@@ -51,7 +51,7 @@ def _read_token(fh) -> bytes:
         token += ch
 
 
-def _read_exact(fh, path: str, n: int, what: str) -> bytes:
+def read_exact(fh, path: str, n: int, what: str) -> bytes:
     """Read n bytes, checked against the file size first so a corrupt
     header never asks for a huge buffer."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -76,7 +76,7 @@ def load_image(path: str) -> np.ndarray:
         if w < 1 or h < 1:
             raise ValueError(f"{path}: bad raster extents {w}x{h}")
         channels = 1 if magic == b"P5" else 3
-        raw = _read_exact(fh, path, w * h * channels, "pixel data")
+        raw = read_exact(fh, path, w * h * channels, "pixel data")
     arr = np.frombuffer(raw, dtype=np.uint8)
     if channels == 1:
         arr = arr.reshape(1, h, w)
@@ -101,9 +101,9 @@ def load_disparity(path: str) -> np.ndarray:
     if not os.path.exists(path):
         raise FileNotFoundError(f"disparity file not found: {path}")
     with open(path, "rb") as fh:
-        header = _read_exact(fh, path, 8, "disparity header")
+        header = read_exact(fh, path, 8, "disparity header")
         h, w = np.frombuffer(header, dtype="<u4").tolist()
         if w < 1 or h < 1:
             raise ValueError(f"{path}: bad disparity extents {h}x{w}")
-        raw = _read_exact(fh, path, 4 * h * w, "disparity payload")
+        raw = read_exact(fh, path, 4 * h * w, "disparity payload")
     return np.frombuffer(raw, dtype="<f4").reshape(h, w).copy()

@@ -14,7 +14,7 @@ diagonal, and cycle drives round-trip warps toward the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,14 @@ from . import tensor as T
 from .model import warp
 from .tensor import Tensor
 
-CSV_HEADER = "step,total,mse,dc,apam,photo,smooth_lr,smooth_rl,cycle"
-
 
 @dataclass
 class LossBreakdown:
-    """Scalar values of every loss component for one optimization step."""
+    """Scalar values of every loss component for one optimization step.
+
+    The loss fields, in order, are the columns of ``loss.csv`` after
+    ``step``; ``alpha`` is the weight, not a logged value.
+    """
 
     total: float
     mse: float
@@ -40,17 +42,11 @@ class LossBreakdown:
     alpha: float
 
     def csv_row(self, step: int) -> str:
-        vals = (
-            self.total,
-            self.mse,
-            self.dc,
-            self.apam,
-            self.photo,
-            self.smooth_lr,
-            self.smooth_rl,
-            self.cycle,
-        )
-        return f"{step}," + ",".join(f"{v:.10g}" for v in vals)
+        return f"{step}," + ",".join(f"{getattr(self, c):.10g}" for c in LOSS_COLUMNS)
+
+
+LOSS_COLUMNS = tuple(f.name for f in fields(LossBreakdown) if f.name != "alpha")
+CSV_HEADER = ",".join(("step",) + LOSS_COLUMNS)
 
 
 def mse_loss(sr_left: Tensor, sr_right: Tensor, hr_left: Tensor, hr_right: Tensor) -> Tensor:

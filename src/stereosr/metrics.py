@@ -108,11 +108,6 @@ class EvalReport:
             fh.write(f"aggregate,both,{self.mean_psnr:.10g},{self.mean_ssim:.10g}\n")
 
 
-def _bicubic_sr(lr: np.ndarray, scale: int) -> np.ndarray:
-    _, h, w = lr.shape
-    return bicubic_resize(lr, h * scale, w * scale)
-
-
 def evaluate(
     manifest_path: str,
     split: str,
@@ -132,8 +127,8 @@ def evaluate(
     report = EvalReport(method=method, scale=scale)
     for idx, frame in enumerate(frames):
         if method == "bicubic":
-            sr_left = _bicubic_sr(frame.lr_left, scale)
-            sr_right = _bicubic_sr(frame.lr_right, scale)
+            eyes = np.stack([frame.lr_left, frame.lr_right])
+            sr_left, sr_right = bicubic_resize(eyes, *frame.hr_left.shape[1:])
         elif method == "model":
             if params is None:
                 raise ValueError("method 'model' requires params")

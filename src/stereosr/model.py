@@ -41,7 +41,7 @@ from .backbone import (
     res_aspp_block,
     residual_block,
 )
-from .data import bicubic_resize
+from .data import SCALES, bicubic_resize
 from .tensor import Tensor
 
 
@@ -76,8 +76,8 @@ def init_model(
     dtype=np.float32,
     zero_output: bool = True,
 ) -> ModelParams:
-    if scale not in (2, 4):
-        raise ValueError(f"scale must be 2 or 4, got {scale}")
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale}")
     attention = AttentionParams(
         mix=init_res_aspp_block(rng, channels, dtype),
         query=init_conv(rng, channels, channels, 1, dtype),
@@ -177,15 +177,6 @@ def warp(mask: Tensor, image: Tensor) -> Tensor:
 # ----------------------------------------------------------------------
 # reconstruction
 # ----------------------------------------------------------------------
-def _bicubic_upsample_batch(lr: Tensor, scale: int) -> Tensor:
-    """Constant (non-differentiable) bicubic upsample of a [N,C,h,w] batch."""
-    n, c, h, w = lr.shape
-    out = np.stack(
-        [bicubic_resize(lr.data[i], h * scale, w * scale) for i in range(n)]
-    )
-    return Tensor(out, dtype=lr.dtype)
-
-
 def reconstruct_sr(
     f_own: Tensor,
     f_other_warped: Tensor,
@@ -205,7 +196,9 @@ def reconstruct_sr(
     h = conv(h, params.upscale, padding=1)
     h = T.pixel_shuffle(h, scale)
     out = conv(h, params.output, padding=1)
-    return out + _bicubic_upsample_batch(lr_image, scale)
+    # a constant: no gradient flows back through the bicubic upsample
+    up = bicubic_resize(lr_image.data, *out.shape[-2:])
+    return out + Tensor(up, dtype=lr_image.dtype)
 
 
 def super_resolve(
@@ -235,6 +228,18 @@ def sr_pair(
             Tensor(left[None]), Tensor(right[None]), params
         )
     return sr_left.data[0], sr_right.data[0]
+
+
+def masks_pair(
+    params: ModelParams, left: np.ndarray, right: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """LR masks of one [C,h,w] pair without a graph; returns (m_lr, m_rl), each [h,w,w]."""
+    with T.no_grad():
+        f_left, f_right = extract_features(
+            Tensor(left[None]), Tensor(right[None]), params.extractor
+        )
+        m_lr, m_rl = attention_masks(f_left, f_right, params.attention)
+    return m_lr.data[0], m_rl.data[0]
 
 
 @dataclass

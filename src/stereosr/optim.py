@@ -10,6 +10,12 @@ import numpy as np
 
 from .tensor import Tensor
 
+# the fixed optimiser recipe, as in PASSRnet
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LR_HALVING_PERIOD = 30  # epochs
+
 
 def xavier_uniform(shape, rng: np.random.Generator, dtype=np.float32) -> Tensor:
     """Uniform init on +/- sqrt(6 / (fan_in + fan_out)) for conv/linear shapes.
@@ -51,11 +57,11 @@ def zero_grads(obj) -> None:
         p.zero_grad()
 
 
-def lr_schedule(epoch: int, lr0: float, halving_period: int) -> float:
-    """Stepwise decay: lr0 halved once per full halving period elapsed."""
+def lr_schedule(epoch: int, lr0: float) -> float:
+    """Stepwise decay: lr0 halved once per LR_HALVING_PERIOD epochs elapsed."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    return lr0 * 0.5 ** (epoch // halving_period)
+    return lr0 * 0.5 ** (epoch // LR_HALVING_PERIOD)
 
 
 @dataclass
@@ -75,15 +81,9 @@ def adam_init(params: Iterable[Tuple[str, Tensor]]) -> AdamState:
     return state
 
 
-def adam_step(
-    params: List[Tuple[str, Tensor]],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update; missing grads count as zero."""
+def adam_step(params: List[Tuple[str, Tensor]], state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update at the module's betas and eps; missing grads count as zero."""
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     state.t += 1
     t = state.t
     bc1 = 1.0 - beta1**t

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .data import augment, manifest_frames, manifest_patches
+from .data import SCALES, augment, manifest_frames, manifest_patches
+from .imageio import read_exact
 from .losses import CSV_HEADER, compute_losses
 from .metrics import psnr, ssim
 from .model import (
@@ -39,18 +40,16 @@ class TrainConfig:
     """Hyperparameters and paths for one training run.
 
     Defaults encode the full-size recipe; :func:`desk_config` returns the
-    small configuration the test suite trains in minutes on a CPU.
+    small configuration the test suite trains in minutes on a CPU. The
+    optimiser constants and the halving period of the learning rate are
+    fixed in :mod:`stereosr.optim`.
     """
 
     scale: int = 2
     alpha: float = 0.005
     lr0: float = 2e-4
-    lr_halving_period: int = 30
     epochs: int = 80
     batch: Optional[int] = None  # 8 at scale 2, 4 at scale 4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     patch_h: int = 30
     patch_w: int = 90
@@ -68,12 +67,11 @@ class TrainConfig:
         return 8 if self.scale == 2 else 4
 
     def validate(self) -> None:
-        if self.scale not in (2, 4):
-            raise ValueError(f"scale must be 2 or 4, got {self.scale}")
+        if self.scale not in SCALES:
+            raise ValueError(f"scale must be one of {SCALES}, got {self.scale}")
         positive = (
             ("alpha", self.alpha >= 0),
             ("lr0", self.lr0 > 0),
-            ("lr_halving_period", self.lr_halving_period > 0),
             ("epochs", self.epochs > 0),
             ("batch", self.resolved_batch() >= 1),
             ("patch_h", self.patch_h > 0),
@@ -218,23 +216,15 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
         size = os.fstat(fh.fileno()).st_size
 
         def read(n: int, what: str) -> bytes:
-            # checked against the file size first, so a corrupt length
-            # never asks for a huge buffer
-            left = size - fh.tell()
-            if n > left:
-                raise ValueError(
-                    f"{path}: checkpoint truncated in {what}: "
-                    f"needs {n} bytes, {left} left"
-                )
-            return fh.read(n)
+            return read_exact(fh, path, n, f"in {what} of the checkpoint")
 
         def read_u4(count: int, what: str) -> List[int]:
             return np.frombuffer(read(4 * count, what), dtype="<u4").tolist()
 
-        magic = read(len(CKPT_MAGIC), "header")
+        magic = read(len(CKPT_MAGIC), "the header")
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = read_u4(1, "header")
+        (version,) = read_u4(1, "the header")
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         name = None
@@ -293,8 +283,10 @@ def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, 
         "channels": count("channels", 1),
         "img_channels": count("img_channels", 1),
     }
-    if meta["scale"] not in (2, 4):
-        raise ValueError(f"checkpoint record 'meta.scale' holds {meta['scale']}, expected 2 or 4")
+    if meta["scale"] not in SCALES:
+        raise ValueError(
+            f"checkpoint record 'meta.scale' holds {meta['scale']}, expected one of {SCALES}"
+        )
     if scalar("global_residual") != 1.0:
         raise ValueError(
             "checkpoint record 'meta.global_residual' is not 1: "
@@ -410,7 +402,7 @@ def train(
     ckpt_path = last_ckpt
     try:
         for epoch in range(start_epoch, cfg.epochs):
-            lr = lr_schedule(epoch, cfg.lr0, cfg.lr_halving_period)
+            lr = lr_schedule(epoch, cfg.lr0)
             order = _derived_rng(cfg.seed, _RNG_SHUFFLE, epoch).permutation(len(patches))
             aug_rng = _derived_rng(cfg.seed, _RNG_AUGMENT, epoch)
             epoch_total = 0.0
@@ -430,7 +422,7 @@ def train(
                     )
                 zero_grads(params)
                 total.backward()
-                adam_step(named, adam, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                adam_step(named, adam, lr)
                 loss_fh.write(breakdown.csv_row(global_step) + "\n")
                 epoch_total += breakdown.total
                 global_step += 1

@@ -38,3 +38,47 @@ def ssim_reference(a, b, peak=1.0):
                     / ((mx * mx + my * my + c1) * (vx + vy + c2))
                 )
     return float(np.mean(vals))
+
+
+# byte values written by the corruption sweeps, besides one flipped bit
+CORRUPT_BYTES = (0x00, 0xFF, ord("9"), ord(" "))
+
+
+def corrupted(blob, positions):
+    """Yield (position, copy of blob with one byte overwritten) per corruption.
+
+    Each position is overwritten with 0x00, 0xFF, '9', ' ' and with its
+    own value with bit (position % 8) flipped; values equal to the original
+    byte are skipped.
+    """
+    for i in positions:
+        flipped = blob[i] ^ (1 << (i % 8))
+        for value in dict.fromkeys(CORRUPT_BYTES + (flipped,)):
+            if value != blob[i]:
+                out = bytearray(blob)
+                out[i] = value
+                yield i, bytes(out)
+
+
+def checkpoint_sweep_positions(blob, head_limit=600):
+    """Byte positions of a checkpoint that the corruption sweeps overwrite.
+
+    These are the 12-byte header, the length, name, rank and shape bytes
+    of every record that starts within the first head_limit bytes, and
+    every byte of the trailing meta.* records.
+    """
+    positions = list(range(12))
+    at = 12
+    meta_start = None
+    while at < len(blob):
+        n = int(np.frombuffer(blob, "<u4", 1, at)[0])
+        name = blob[at + 4 : at + 4 + n].decode("ascii")
+        rank = int(np.frombuffer(blob, "<u4", 1, at + 4 + n)[0])
+        shape = np.frombuffer(blob, "<u4", rank, at + 8 + n)
+        head_end = at + 8 + n + 4 * rank
+        if name.startswith("meta.") and meta_start is None:
+            meta_start = at
+        if at < head_limit:
+            positions.extend(p for p in range(at, head_end) if p < head_limit)
+        at = head_end + 4 * int(np.prod(shape))
+    return positions + list(range(meta_start, len(blob)))

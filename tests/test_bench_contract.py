@@ -9,13 +9,13 @@ moves one of them should fail here, not in a benchmark run.
 import importlib.util
 import inspect
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import stereosr
-from stereosr import losses, model, training
+from stereosr import data, losses, model, optim, training
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -57,3 +57,21 @@ def test_call_shapes_used_by_the_workloads():
     )
     inspect.signature(losses.compute_losses).bind(*range(8))
     inspect.signature(training.save_checkpoint).bind(*range(7))
+
+
+def test_data_and_training_call_shapes_used_by_the_workloads():
+    inspect.signature(data.synth_stereo).bind(0, 96, 192, (2.0, 6.0), 2)
+    inspect.signature(data.generate_dataset).bind("out", 0, (1, 4, 0), 48, 144, (2.0, 6.0), 2)
+    inspect.signature(training.adam_step).bind([], optim.AdamState(), 1e-3)
+    cfg = replace(training.desk_config(manifest="m.txt", seed=1), epochs=8, out_dir="run")
+    assert (cfg.manifest, cfg.seed, cfg.epochs, cfg.out_dir) == ("m.txt", 1, 8, "run")
+
+
+def test_log_headers_whose_column_1_the_workloads_read(tmp_path):
+    manifest = data.generate_dataset(str(tmp_path / "d"), 0, (1, 1, 0), 32, 96, (2.0, 4.0), 2)
+    cfg = training.desk_config(manifest=manifest, seed=0)
+    result = training.train(replace(cfg, epochs=1, out_dir=str(tmp_path / "run")))
+    with open(result.loss_csv) as fh:
+        assert fh.readline() == "step,total,mse,dc,apam,photo,smooth_lr,smooth_rl,cycle\n"
+    with open(result.val_csv) as fh:
+        assert fh.readline() == "epoch,psnr_db,ssim\n"

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from oracles import checkpoint_sweep_positions, corrupted
 from stereosr.cli import main
-from stereosr.data import generate_dataset, synth_stereo
+from stereosr.data import ManifestEntry, generate_dataset, synth_stereo, write_manifest
 from stereosr.imageio import load_image, save_image
 from stereosr.model import init_model
 from stereosr.optim import adam_init, named_parameters
@@ -77,6 +78,40 @@ class TestTrain:
         ])
         assert code == 0
         assert os.path.exists(os.path.join(env_dir, "loss.csv"))
+
+
+@pytest.fixture
+def mismatched_manifest(tmp_path):
+    """One train, val and test frame whose right eye is twice the left's size."""
+    rng = np.random.default_rng(5)
+    left, right = str(tmp_path / "L.pgm"), str(tmp_path / "R.pgm")
+    save_image(left, rng.random((1, 48, 144)))
+    save_image(right, rng.random((1, 96, 288)))
+    manifest = str(tmp_path / "manifest.txt")
+    write_manifest(manifest, [ManifestEntry(s, left, right) for s in ("train", "val", "test")])
+    return manifest, left, right
+
+
+class TestMismatchedEyes:
+    def test_train_exits_1(self, mismatched_manifest, tmp_path, capsys):
+        manifest, left, right = mismatched_manifest
+        code = main([
+            "train", "--desk", "--manifest", manifest, "--epochs", "1",
+            "--out-dir", str(tmp_path / "run"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and left in err and right in err, err
+
+    def test_eval_exits_1(self, mismatched_manifest, tmp_path, capsys):
+        manifest, left, right = mismatched_manifest
+        code = main([
+            "eval", "--manifest", manifest, "--method", "bicubic",
+            "--csv", str(tmp_path / "e.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and left in err and right in err, err
 
 
 class TestEval:
@@ -181,6 +216,28 @@ class TestSr:
         assert code == 1
         assert err.startswith("error: ") and "checkpoint record" in err, err
 
+    def test_corrupted_checkpoint_exits_0_or_1(self, checkpoint, tmp_path, capsys):
+        """Every 16th single-byte corruption of the checkpoint sweep, served."""
+        with open(checkpoint, "rb") as fh:
+            blob = fh.read()
+        variants = list(corrupted(blob, checkpoint_sweep_positions(blob)))[::16]
+        image = str(tmp_path / "lr.pgm")
+        save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)[0].lr_left)
+        bad = str(tmp_path / "bad.bin")
+        codes = set()
+        for i, blob_i in variants:
+            with open(bad, "wb") as fh:
+                fh.write(blob_i)
+            code = main([
+                "sr", "--checkpoint", bad, "--left", image, "--right", image,
+                "--out-left", str(tmp_path / "o1.pgm"), "--out-right", str(tmp_path / "o2.pgm"),
+            ])
+            err = capsys.readouterr().err
+            assert code in (0, 1), i
+            assert code == 0 or err.startswith("error: "), (i, err)
+            codes.add(code)
+        assert len(variants) > 100 and codes == {0, 1}
+
     def test_huge_image_header_exits_1(self, checkpoint, tmp_path, capsys):
         image = str(tmp_path / "huge.pgm")
         with open(image, "wb") as fh:
@@ -226,6 +283,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--adam-beta1", "--adam-beta2", "--adam-eps", "--lr-halving-period"]
+    )
+    def test_optimiser_recipe_flags_removed(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--desk", flag, "1"])
+        assert exc.value.code == 2
+
+    def test_config_file_with_recipe_key_exits_1(self, dataset, tmp_path, capsys):
+        _, manifest = dataset
+        cfg_file = str(tmp_path / "run.cfg")
+        with open(cfg_file, "w") as fh:
+            fh.write(f"manifest={manifest}\nlr_halving_period=10\n")
+        code = main(["train", "--desk", "--config", cfg_file])
+        assert code == 1
+        assert "unknown config key 'lr_halving_period'" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

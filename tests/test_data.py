@@ -5,20 +5,25 @@ import os
 import numpy as np
 import pytest
 
+from oracles import corrupted
 from stereosr import data
 from stereosr.data import (
+    ManifestEntry,
     StereoSample,
     augment,
     bicubic_resize,
+    degrade,
     extract_patches,
     flip_horizontal,
     flip_vertical,
     generate_dataset,
+    load_frame,
     manifest_patches,
     patch_offsets,
     read_manifest,
     synth_stereo,
     validate_sample,
+    write_manifest,
 )
 from stereosr.imageio import (
     load_disparity,
@@ -97,6 +102,21 @@ class TestBicubicResize:
     def test_rejects_bad_target(self, rng):
         with pytest.raises(ValueError):
             bicubic_resize(rng.random((1, 4, 4)), 0, 3)
+        with pytest.raises(ValueError, match="C, H, W"):
+            bicubic_resize(rng.random((4, 4)), 2, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("out", [(48, 80), (12, 20)], ids=["up", "down"])
+    def test_batch_equals_per_image_stack(self, rng, dtype, n, out):
+        """Leading axes resample each image exactly as a [C,H,W] call does."""
+        imgs = rng.random((n, 2, 24, 40)).astype(dtype)
+        got = bicubic_resize(imgs, *out)
+        want = np.stack([bicubic_resize(img, *out) for img in imgs])
+        assert got.dtype == dtype and got.shape == (n, 2) + out
+        assert got.tobytes() == want.tobytes()
+        deeper = bicubic_resize(imgs[None], *out)
+        assert deeper.shape == (1, n, 2) + out and deeper.tobytes() == want.tobytes()
 
     def test_weight_cache_is_bounded(self, rng):
         """A stream of new sizes evicts old matrices and keeps the results."""
@@ -110,6 +130,24 @@ class TestBicubicResize:
             assert got.dtype == img.dtype and np.array_equal(got, want)
             tol = 1e-6 if img.dtype == np.float32 else 1e-12
             np.testing.assert_allclose(got, bicubic_oracle(img, 13, 5), atol=tol)
+
+
+class TestDegrade:
+    def test_float64_hr_matches_the_synth_path(self, rng):
+        """synth_stereo renders float64 HR: bicubic down, cast to float32, clip."""
+        hr = rng.random((1, 16, 24))
+        hr[:, :6], hr[:, -6:] = 1.2, -0.2  # rows the clip must pull back
+        want = np.clip(bicubic_resize(hr, 8, 12).astype(np.float32), 0.0, 1.0)
+        got = degrade(hr, 2)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert got.min() == 0.0 and got.max() == 1.0
+
+    def test_float32_hr_matches_the_load_path(self, rng):
+        """load_image returns float32 HR: bicubic down, clip."""
+        hr = rng.random((3, 16, 24)).astype(np.float32)
+        want = np.clip(bicubic_resize(hr, 4, 6), 0.0, 1.0)
+        got = degrade(hr, 4)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 def make_frame(rng, h, w, scale=2, fill=None):
@@ -258,6 +296,18 @@ class TestSynthStereo:
         validate_sample(sample)
 
 
+# the file formats the package reads, each with a writer and its reader
+FORMATS = pytest.mark.parametrize(
+    "name,save,load",
+    [
+        ("x.pgm", lambda p, a: save_image(p, a[:1]), load_image),
+        ("x.ppm", save_image, load_image),
+        ("x.disp", lambda p, a: save_disparity(p, a[0]), load_disparity),
+    ],
+    ids=["pgm", "ppm", "disp"],
+)
+
+
 class TestImageIO:
     def test_pgm_roundtrip_lossless(self, rng, tmp_path):
         img = (rng.integers(0, 256, size=(1, 9, 13)) / 255.0).astype(np.float32)
@@ -296,15 +346,7 @@ class TestImageIO:
         with pytest.raises(ValueError, match="magic"):
             load_image(path)
 
-    @pytest.mark.parametrize(
-        "name,save,load",
-        [
-            ("x.pgm", lambda p, a: save_image(p, a[:1]), load_image),
-            ("x.ppm", save_image, load_image),
-            ("x.disp", lambda p, a: save_disparity(p, a[0]), load_disparity),
-        ],
-        ids=["pgm", "ppm", "disp"],
-    )
+    @FORMATS
     def test_every_truncation_rejected(self, rng, tmp_path, name, save, load):
         path = os.path.join(tmp_path, name)
         save(path, rng.random((3, 4, 5)).astype(np.float32))
@@ -334,6 +376,68 @@ class TestImageIO:
             fh.write(np.array(extents, dtype="<u4").tobytes() + b"\x00" * 64)
         with pytest.raises(ValueError, match="extents|truncated"):
             load_disparity(path)
+
+
+    @FORMATS
+    def test_every_byte_corruption_loads_or_raises_value_error(
+        self, rng, tmp_path, name, save, load
+    ):
+        path = os.path.join(tmp_path, name)
+        save(path, rng.random((3, 4, 5)).astype(np.float32))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        variants = 0
+        for i, bad in corrupted(blob, range(len(blob))):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            try:
+                load(path)
+            except ValueError:
+                pass
+            variants += 1
+        assert variants >= 4 * len(blob)
+
+
+class TestLoadFrame:
+    @staticmethod
+    def _entry(tmp_path, left, right):
+        paths = [str(tmp_path / "f_L.pgm"), str(tmp_path / "f_R.pgm")]
+        for path, img in zip(paths, (left, right)):
+            save_image(path, img)
+        return ManifestEntry("train", *paths)
+
+    def test_derives_the_lr_pair_by_degrade(self, tmp_path):
+        sample, _ = synth_stereo(6, 16, 32, (1.0, 3.0), scale=2)
+        entry = self._entry(tmp_path, sample.hr_left, sample.hr_right)
+        frame = load_frame(entry, 2)
+        validate_sample(frame)
+        assert np.array_equal(frame.hr_left, load_image(entry.left_path))
+        assert np.array_equal(frame.hr_right, load_image(entry.right_path))
+        assert frame.lr_left.tobytes() == degrade(frame.hr_left, 2).tobytes()
+        assert frame.lr_right.tobytes() == degrade(frame.hr_right, 2).tobytes()
+
+    def test_eyes_of_different_shape_rejected(self, rng, tmp_path):
+        entry = self._entry(
+            tmp_path, rng.random((1, 48, 144)), rng.random((1, 96, 288))
+        )
+        with pytest.raises(ValueError, match="differ in shape") as exc:
+            load_frame(entry, 2)
+        assert entry.left_path in str(exc.value) and entry.right_path in str(exc.value)
+
+    def test_mismatched_manifest_pair_yields_no_patches(self, rng, tmp_path):
+        entry = self._entry(
+            tmp_path, rng.random((1, 48, 144)), rng.random((1, 96, 288))
+        )
+        manifest = str(tmp_path / "manifest.txt")
+        write_manifest(manifest, [entry])
+        with pytest.raises(ValueError, match="differ in shape"):
+            manifest_patches(manifest, "train", 2, 16, 48, 8)
+
+    def test_extents_not_divisible_by_scale_rejected(self, rng, tmp_path):
+        img = rng.random((1, 10, 18))
+        entry = self._entry(tmp_path, img, img)
+        with pytest.raises(ValueError, match="not divisible"):
+            load_frame(entry, 4)
 
 
 class TestManifest:

@@ -13,6 +13,7 @@ from stereosr.model import (
     forward_full,
     init_model,
     mask_argmax_disparity,
+    masks_pair,
     reconstruct_sr,
     super_resolve,
     warp,
@@ -212,6 +213,21 @@ class TestForwardFull:
         assert np.array_equal(sr_r.data[0], bicubic_resize(lr_r.data[0], 12, 20))
         # zero features give uniform masks
         np.testing.assert_allclose(m_lr.data, 1.0 / 10.0, atol=1e-7)
+
+
+class TestMasksPair:
+    def test_equals_extract_features_and_attention_masks(self, rng):
+        params = tiny_model(rng)
+        sample, _ = synth_stereo(11, 16, 40, (2.0, 4.0), scale=2)
+        m_lr, m_rl = masks_pair(params, sample.lr_left, sample.lr_right)
+        with T.no_grad():
+            f_l, f_r = extract_features(
+                Tensor(sample.lr_left[None]), Tensor(sample.lr_right[None]), params.extractor
+            )
+            want_lr, want_rl = attention_masks(f_l, f_r, params.attention)
+        assert m_lr.shape == m_rl.shape == (8, 20, 20)
+        assert m_lr.tobytes() == want_lr.data[0].tobytes()
+        assert m_rl.tobytes() == want_rl.data[0].tobytes()
 
 
 class TestMaskDisparity:

@@ -1,11 +1,13 @@
 """Initialization, Adam, schedule, checkpoint format, and the train loop."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stereosr import training
+from oracles import checkpoint_sweep_positions, corrupted
+from stereosr import optim, training
 from stereosr.data import generate_dataset
 from stereosr.model import init_model
 from stereosr.optim import (
@@ -138,16 +140,16 @@ class TestAdam:
 class TestLrSchedule:
     @pytest.mark.parametrize("epoch,want", [(0, 2e-4), (30, 1e-4), (60, 5e-5)])
     def test_pinned_values(self, epoch, want):
-        assert lr_schedule(epoch, 2e-4, 30) == pytest.approx(want, rel=1e-12)
+        assert lr_schedule(epoch, 2e-4) == pytest.approx(want, rel=1e-12)
 
     def test_closed_form_over_range(self):
         for epoch in range(201):
             want = 2e-4 * 0.5 ** (epoch // 30)
-            assert lr_schedule(epoch, 2e-4, 30) == want
+            assert lr_schedule(epoch, 2e-4) == want
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1, 2e-4, 30)
+            lr_schedule(-1, 2e-4)
 
 
 class TestConfig:
@@ -155,9 +157,9 @@ class TestConfig:
         cfg = TrainConfig()
         assert cfg.alpha == 0.005
         assert cfg.lr0 == 2e-4
-        assert cfg.lr_halving_period == 30
+        assert optim.LR_HALVING_PERIOD == 30
         assert cfg.epochs == 80
-        assert cfg.adam_beta1 == 0.9
+        assert (optim.ADAM_BETA1, optim.ADAM_BETA2, optim.ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert cfg.patch_h == 30 and cfg.patch_w == 90 and cfg.stride == 20
         assert cfg.resolved_batch() == 8
         assert TrainConfig(scale=4).resolved_batch() == 4
@@ -173,6 +175,20 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             apply_config(TrainConfig(), {"nope": "1"})
+
+    @pytest.mark.parametrize(
+        "key", ["adam_beta1", "adam_beta2", "adam_eps", "lr_halving_period"]
+    )
+    def test_optimiser_recipe_keys_rejected(self, tmp_path, key):
+        """The recipe lives in stereosr.optim; a config file cannot set it."""
+        path = os.path.join(tmp_path, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(f"{key}=1\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            apply_config(TrainConfig(), read_config_file(path))
+
+    def test_fifteen_fields(self):
+        assert len(fields(TrainConfig)) == 15
 
     def test_validation(self):
         with pytest.raises(ValueError, match="scale"):
@@ -229,6 +245,56 @@ class TestCheckpoint:
         first = next(named_parameters(params))[0]
         with pytest.raises(ValueError, match=f"truncated in record 'param.{first}'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "cut,where,needs,left",
+        [(4, "the header", 8, 4), (10, "the header", 4, 2), (14, "the first record", 4, 2)],
+    )
+    def test_truncated_header_message(self, rng, tmp_path, cut, where, needs, left):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "t.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: truncated in {where} of the checkpoint, needs {needs} bytes, {left} left"
+        )
+
+    def test_truncation_after_a_record_names_it(self, rng, tmp_path):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "t.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        names = list(load_checkpoint(path))
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        end = blob.index(names[1].encode("ascii")) - 4  # start of the second record
+        with open(path, "wb") as fh:
+            fh.write(blob[: end + 2])
+        with pytest.raises(ValueError, match=f"truncated in the record after '{names[0]}' of"):
+            load_checkpoint(path)
+
+    def test_every_corruption_restores_or_raises_value_error(self, rng, tmp_path):
+        """One overwritten byte in the header, a record head or the meta records."""
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "c.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        positions = checkpoint_sweep_positions(blob)
+        variants = 0
+        for _, bad in corrupted(blob, positions):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            try:
+                restore_model(load_checkpoint(path))
+            except ValueError:
+                pass
+            variants += 1
+        assert variants >= 4 * len(positions) > 4 * 400
 
     @pytest.fixture
     def ckpt(self, rng, tmp_path):
