@@ -36,7 +36,7 @@ right = load_image(os.path.join(out, "dataset", "test_000_R.pgm"))
 lr_l = degrade(left, 2)
 sr_l, _ = sr_pair(params, lr_l, degrade(right, 2))
 panel = np.concatenate(
-    [bicubic_resize(lr_l, *left.shape[1:]), np.clip(sr_l, 0, 1), left], axis=2
+    [bicubic_resize(lr_l, *left.shape[1:]), sr_l, left], axis=2
 )
 save_image(os.path.join(out, "panel_bicubic_sr_hr.pgm"), panel)
 print("wrote", os.path.join(out, "panel_bicubic_sr_hr.pgm"))

@@ -39,6 +39,6 @@ print(f"LR mask {m_rl.shape} rows sum to 1: "
       f"{np.allclose(m_rl.sum(-1), 1.0, atol=1e-5)}")
 print(f"argmax disparity within 1 px of truth on {agree:.1%} of interior pixels")
 
-gray = np.clip(128.0 + 16.0 * recovered, 0, 255) / 255.0
+gray = (128.0 + 16.0 * recovered) / 255.0
 save_image(os.path.join(out, "recovered_disparity.pgm"), gray[None].astype(np.float32))
 print("wrote", os.path.join(out, "recovered_disparity.pgm"))

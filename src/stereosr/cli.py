@@ -167,8 +167,8 @@ def _cmd_sr(args) -> int:
             f"model expects {params.img_channels}-channel images, got {left.shape[0]}"
         )
     sr_l, sr_r = sr_pair(params, left, right)
-    save_image(args.out_left, np.clip(sr_l, 0.0, 1.0))
-    save_image(args.out_right, np.clip(sr_r, 0.0, 1.0))
+    save_image(args.out_left, sr_l)
+    save_image(args.out_right, sr_r)
     print(f"wrote {args.out_left} and {args.out_right}")
     return 0
 
@@ -179,7 +179,7 @@ def _cmd_dump_masks(args) -> int:
     disp_left = mask_argmax_disparity(m_rl, "rl")
     disp_right = mask_argmax_disparity(m_lr, "lr")
     for path, disp in ((args.out_left, disp_left), (args.out_right, disp_right)):
-        gray = np.clip(128.0 + args.gain * disp, 0, 255) / 255.0
+        gray = (128.0 + args.gain * disp) / 255.0
         save_image(path, gray[None].astype(np.float32))
     print(f"wrote {args.out_left} and {args.out_right}")
     return 0

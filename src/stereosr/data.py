@@ -16,7 +16,6 @@ Disparity convention: a left pixel (y, x) corresponds to right pixel
 
 from __future__ import annotations
 
-import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .imageio import load_image, save_disparity, save_image
+from .tensor import resampling_matrix
 
 SCALES = (2, 4)  # the supported super-resolution factors
 
@@ -81,28 +81,6 @@ def _keys_kernel(x: float) -> float:
     return 0.0
 
 
-# Resampling matrices kept at once. A workload uses a few (frame and patch
-# sizes, each way, per dtype); a stream of new sizes evicts the oldest.
-_WEIGHT_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
-def _bicubic_weights(n_in: int, n_out: int, dtype: np.dtype) -> np.ndarray:
-    """Read-only (n_out, n_in) row-stochastic resampling matrix, edge-clamped taps."""
-    scale = n_in / n_out
-    A = np.zeros((n_out, n_in), dtype=np.float64)
-    for o in range(n_out):
-        src = (o + 0.5) * scale - 0.5
-        j0 = int(np.floor(src))
-        t = src - j0
-        for k in range(-1, 3):
-            idx = min(max(j0 + k, 0), n_in - 1)
-            A[o, idx] += _keys_kernel(k - t)
-    A = A.astype(dtype)
-    A.flags.writeable = False
-    return A
-
-
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Separable bicubic resampling of [..., C, H, W] images to [..., C, out_h, out_w].
 
@@ -115,8 +93,8 @@ def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     if img.ndim < 3:
         raise ValueError(f"bicubic_resize expects [..., C, H, W], got shape {img.shape}")
     *lead, c, h, w = img.shape
-    A_h = _bicubic_weights(h, out_h, img.dtype)
-    A_w = _bicubic_weights(w, out_w, img.dtype)
+    A_h = resampling_matrix(h, out_h, _keys_kernel, img.dtype)
+    A_w = resampling_matrix(w, out_w, _keys_kernel, img.dtype)
     cols = img.reshape(-1, c, h, w).swapaxes(1, 2).reshape(-1, h, c * w)
     rows = (A_h @ cols).reshape(-1, out_h, c, w).swapaxes(1, 2)  # [B, C, out_h, W]
     out = rows.reshape(-1, c * out_h, w) @ A_w.T

@@ -278,17 +278,13 @@ def batch_tensors(samples, dtype=np.float32) -> Tuple[Tensor, Tensor, Tensor, Te
 
 
 def mask_argmax_disparity(mask: np.ndarray, direction: str) -> np.ndarray:
-    """Recover integer disparity per pixel from a mask's argmax.
+    """Recover integer disparity per pixel from one [h, w, w] mask's argmax.
 
-    direction "rl" (mask indexed [.., a, b]): d[i, a] = a - argmax_b.
-    direction "lr" (mask indexed [.., b, a]): d[i, b] = argmax_a - b.
+    direction "rl" (mask indexed [i, a, b]): d[i, a] = a - argmax_b.
+    direction "lr" (mask indexed [i, b, a]): d[i, b] = argmax_a - b.
     """
     mask = np.asarray(mask)
-    if mask.ndim == 4:
-        if mask.shape[0] != 1:
-            raise ValueError("pass one mask at a time")
-        mask = mask[0]
-    h, w, _ = mask.shape
+    _, w, _ = mask.shape
     hit = mask.argmax(axis=-1)
     cols = np.arange(w)[None, :]
     if direction == "rl":

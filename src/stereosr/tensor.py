@@ -17,6 +17,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
@@ -331,7 +333,7 @@ def absolute(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp, "abs")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
+def leaky_relu(a: Tensor, slope: float) -> Tensor:
     """Elementwise max(x, slope*x) for slope in [0, 1).
 
     Equals ``where(x >= 0, x, slope*x)`` bit for bit, signed zeros and NaN
@@ -580,19 +582,31 @@ def conv2d(
 # ----------------------------------------------------------------------
 # resampling ops
 # ----------------------------------------------------------------------
-def _linear_interp_matrix(n: int, factor: int, dtype) -> np.ndarray:
-    """Weights of 1-D linear upsampling by an integer factor (align_corners=False)."""
-    n_out = n * factor
-    A = np.zeros((n_out, n), dtype=dtype)
+# Resampling matrices kept at once. A workload uses a few (sizes, each way,
+# per kernel and dtype); a stream of new sizes evicts the oldest.
+_WEIGHT_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def resampling_matrix(n_in: int, n_out: int, kernel, dtype) -> np.ndarray:
+    """Read-only (n_out, n_in) resampling matrix: pixel-centre source positions,
+    four edge-clamped taps weighted by ``kernel``, built in float64 then cast."""
+    scale = n_in / n_out
+    A = np.zeros((n_out, n_in), dtype=np.float64)
     for o in range(n_out):
-        src = (o + 0.5) / factor - 0.5
-        i0 = int(np.floor(src))
-        t = src - i0
-        lo = min(max(i0, 0), n - 1)
-        hi = min(max(i0 + 1, 0), n - 1)
-        A[o, lo] += 1.0 - t
-        A[o, hi] += t
+        src = (o + 0.5) * scale - 0.5
+        j0 = int(np.floor(src))
+        t = src - j0
+        for k in range(-1, 3):
+            idx = min(max(j0 + k, 0), n_in - 1)
+            A[o, idx] += kernel(k - t)
+    A = A.astype(dtype)
+    A.flags.writeable = False
     return A
+
+
+def _triangle_kernel(x: float) -> float:
+    return max(0.0, 1.0 - abs(x))
 
 
 def _apply_matrix_along_axis(M: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
@@ -613,7 +627,10 @@ def trilinear_upsample(volume: Tensor, s: int) -> Tensor:
     if volume.ndim < 3:
         raise ValueError(f"trilinear_upsample needs >= 3 axes, got shape {volume.shape}")
     axes = (-3, -2, -1)
-    mats = [_linear_interp_matrix(volume.shape[ax], s, volume.dtype) for ax in axes]
+    mats = [
+        resampling_matrix(n, n * s, _triangle_kernel, volume.dtype)
+        for n in volume.shape[-3:]
+    ]
 
     out = volume.data
     for ax, M in zip(axes, mats):

@@ -42,7 +42,8 @@ class TrainConfig:
     Defaults encode the full-size recipe; :func:`desk_config` returns the
     small configuration the test suite trains in minutes on a CPU. The
     optimiser constants and the halving period of the learning rate are
-    fixed in :mod:`stereosr.optim`.
+    fixed in :mod:`stereosr.optim`, and the image channel count is that of
+    the training frames.
     """
 
     scale: int = 2
@@ -55,7 +56,6 @@ class TrainConfig:
     patch_w: int = 90
     stride: int = 20
     channels: int = 32
-    img_channels: int = 1
     manifest: str = ""
     out_dir: str = "runs/default"
     checkpoint_every: int = 10
@@ -78,7 +78,6 @@ class TrainConfig:
             ("patch_w", self.patch_w > 0),
             ("stride", self.stride > 0),
             ("channels", self.channels > 0),
-            ("img_channels", self.img_channels > 0),
             ("checkpoint_every", self.checkpoint_every > 0),
         )
         for name, ok in positive:
@@ -247,15 +246,17 @@ def _record(ckpt: Dict[str, np.ndarray], key: str, shape: Tuple[int, ...]) -> np
         raise ValueError(
             f"checkpoint record '{key}' has shape {ckpt[key].shape}, expected {shape}"
         )
+    if not np.all(np.isfinite(ckpt[key])):
+        raise ValueError(f"checkpoint record '{key}' holds non-finite values")
     return ckpt[key]
 
 
 def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, Dict[str, float]]:
     """Rebuild model params and optimizer state from a loaded checkpoint.
 
-    Raises ValueError for a missing or misshapen record, or a meta value
-    out of range. The model extents are checked against the entry conv's
-    weight before any parameter is allocated.
+    Raises ValueError for a missing, misshapen or non-finite record, or a
+    meta value out of range. The model extents are checked against the
+    entry conv's weight before any parameter is allocated.
     """
 
     def scalar(key: str) -> float:
@@ -366,14 +367,19 @@ def train(
     if not patches:
         raise ValueError("train split produced no patches")
     val_frames = manifest_frames(cfg.manifest, "val", cfg.scale)
+    img_channels = patches[0].lr_left.shape[0]
 
     if resume:
         params, adam, meta = restore_model(load_checkpoint(resume))
-        if meta["scale"] != cfg.scale or meta["channels"] != cfg.channels:
+        # seed and alpha as the checkpoint stores them
+        run = dict(
+            scale=cfg.scale, channels=cfg.channels, img_channels=img_channels,
+            seed=cfg.seed & 0xFFFFFFFFFFFFFFFF, alpha=float(np.float32(cfg.alpha)),
+        )
+        differ = [f"{k} {meta[k]} vs {v}" for k, v in run.items() if meta[k] != v]
+        if differ:
             raise ValueError(
-                "checkpoint geometry does not match config: "
-                f"scale {meta['scale']} vs {cfg.scale}, "
-                f"channels {meta['channels']} vs {cfg.channels}"
+                f"{resume} does not match this run (checkpoint vs run): {', '.join(differ)}"
             )
         start_epoch = meta["epochs_done"]
         global_step = meta["global_step"]
@@ -382,7 +388,7 @@ def train(
             _derived_rng(cfg.seed, _RNG_INIT),
             scale=cfg.scale,
             channels=cfg.channels,
-            img_channels=cfg.img_channels,
+            img_channels=img_channels,
         )
         adam = adam_init(named_parameters(params))
         start_epoch = 0

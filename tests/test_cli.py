@@ -11,7 +11,7 @@ from stereosr.data import ManifestEntry, generate_dataset, synth_stereo, write_m
 from stereosr.imageio import load_image, save_image
 from stereosr.model import init_model
 from stereosr.optim import adam_init, named_parameters
-from stereosr.training import save_checkpoint
+from stereosr.training import load_checkpoint, restore_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,91 @@ class TestTrain:
         ])
         assert code == 0
         assert os.path.exists(os.path.join(env_dir, "loss.csv"))
+
+
+# a desk run small enough for the CLI tests
+SMALL_RUN = [
+    "--channels", "4", "--patch-h", "8", "--patch-w", "24", "--stride", "8", "--batch", "4",
+]
+
+
+@pytest.fixture(scope="module")
+def rgb_manifest(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("rgb_data"))
+    return generate_dataset(
+        root, seed=22, counts=(1, 1, 0), frame_h=32, frame_w=64,
+        disparity_range=(1.0, 3.0), scale=2, channels=3,
+    )
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    """Checkpoint of a one-epoch 1-channel desk run at seed 1."""
+    out_dir = str(tmp_path_factory.mktemp("trained"))
+    code = main([
+        "train", "--desk", "--manifest", dataset[1], "--out-dir", out_dir,
+        "--seed", "1", "--epochs", "1", *SMALL_RUN,
+    ])
+    assert code == 0
+    return os.path.join(out_dir, "ckpt_ep001.bin")
+
+
+class TestImageChannels:
+    def test_rgb_manifest_trains_without_a_channel_flag(self, rgb_manifest, tmp_path):
+        out_dir = str(tmp_path / "rgb")
+        code = main([
+            "train", "--desk", "--manifest", rgb_manifest, "--out-dir", out_dir,
+            "--epochs", "1", *SMALL_RUN,
+        ])
+        assert code == 0
+        params, _, meta = restore_model(load_checkpoint(os.path.join(out_dir, "ckpt_ep001.bin")))
+        assert meta["img_channels"] == params.img_channels == 3
+
+    def test_img_channels_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--desk", "--img-channels", "3"])
+        assert exc.value.code == 2
+
+    def test_img_channels_config_key_exits_1(self, rgb_manifest, tmp_path, capsys):
+        cfg_file = str(tmp_path / "run.cfg")
+        with open(cfg_file, "w") as fh:
+            fh.write(f"manifest={rgb_manifest}\nimg_channels=3\n")
+        code = main(["train", "--desk", "--config", cfg_file])
+        assert code == 1
+        assert "unknown config key 'img_channels'" in capsys.readouterr().err
+
+    def test_resume_on_other_channel_count_exits_1(self, trained, rgb_manifest, tmp_path, capsys):
+        code = main([
+            "train", "--desk", "--manifest", rgb_manifest, "--out-dir", str(tmp_path / "r"),
+            "--resume", trained, "--seed", "1", "--epochs", "2", *SMALL_RUN,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "img_channels 1 vs 3" in err, err
+
+
+class TestResume:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ([], None),
+            (["--seed", "2"], "seed 1 vs 2"),
+            # alpha as the checkpoint stores it, in float32
+            (["--alpha", "7"], "alpha 0.004999999888241291 vs 7.0"),
+        ],
+        ids=["same", "seed", "alpha"],
+    )
+    def test_seed_and_alpha_must_match(self, dataset, trained, tmp_path, capsys, flags, message):
+        code = main([
+            "train", "--desk", "--manifest", dataset[1], "--out-dir", str(tmp_path / "r"),
+            "--resume", trained, "--seed", "1", "--epochs", "2", *SMALL_RUN, *flags,
+        ])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and message in err, err
 
 
 @pytest.fixture
@@ -215,6 +300,26 @@ class TestSr:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "checkpoint record" in err, err
+
+    def test_non_finite_weights_exit_1(self, checkpoint, tmp_path, capsys):
+        with open(checkpoint, "rb") as fh:
+            blob = bytearray(fh.read())
+        name = b"param.extractor.entry.weight"
+        at = blob.index(name) + len(name) + 4 + 16  # past rank and four extents
+        blob[at : at + 4] = b"\xff\xff\xff\xff"  # a NaN
+        bad = str(tmp_path / "nan.bin")
+        with open(bad, "wb") as fh:
+            fh.write(blob)
+        image = str(tmp_path / "lr.pgm")
+        save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)[0].lr_left)
+        out = str(tmp_path / "o1.pgm")
+        code = main([
+            "sr", "--checkpoint", bad, "--left", image, "--right", image,
+            "--out-left", out, "--out-right", str(tmp_path / "o2.pgm"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1 and not os.path.exists(out)
+        assert err.startswith("error: ") and f"'{name.decode()}' holds non-finite" in err, err
 
     def test_corrupted_checkpoint_exits_0_or_1(self, checkpoint, tmp_path, capsys):
         """Every 16th single-byte corruption of the checkpoint sweep, served."""

@@ -31,6 +31,7 @@ from stereosr.imageio import (
     save_disparity,
     save_image,
 )
+from stereosr.tensor import _WEIGHT_CACHE_SIZE, resampling_matrix
 
 
 @pytest.fixture
@@ -124,7 +125,8 @@ class TestBicubicResize:
         first = [bicubic_resize(img, 13, 5) for img in imgs]
         for n in range(8, 40):
             bicubic_resize(rng.random((1, n, n)), 2 * n, 2 * n)
-        assert data._bicubic_weights.cache_info().currsize <= data._WEIGHT_CACHE_SIZE < 32
+        cache = resampling_matrix.cache_info()
+        assert cache.currsize <= cache.maxsize == _WEIGHT_CACHE_SIZE < 32
         for img, want in zip(imgs, first):
             got = bicubic_resize(img, 13, 5)
             assert got.dtype == img.dtype and np.array_equal(got, want)

@@ -187,8 +187,8 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             apply_config(TrainConfig(), read_config_file(path))
 
-    def test_fifteen_fields(self):
-        assert len(fields(TrainConfig)) == 15
+    def test_fourteen_fields(self):
+        assert len(fields(TrainConfig)) == 14
 
     def test_validation(self):
         with pytest.raises(ValueError, match="scale"):
@@ -328,6 +328,14 @@ class TestCheckpoint:
         monkeypatch.setattr(training, "init_model", no_init)
         ckpt[f"meta.{key}"][0] = value
         with pytest.raises(ValueError, match=f"'{record}'"):
+            restore_model(ckpt)
+
+    @pytest.mark.parametrize("prefix", ["param.", "adam.m.", "adam.v.", "meta.alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_named(self, ckpt, prefix, value):
+        record = next(k for k in ckpt if k.startswith(prefix))
+        ckpt[record].flat[-1] = value
+        with pytest.raises(ValueError, match=f"'{record}' holds non-finite values"):
             restore_model(ckpt)
 
     @pytest.mark.parametrize("prefix", ["adam.m.", "adam.v.", "meta."])
