@@ -33,10 +33,10 @@ print(f"gain    : {model.mean_psnr - base.mean_psnr:+.3f} dB after 2 epochs")
 # side-by-side panel for one test frame: LR (upscaled) | model SR | ground truth
 left = load_image(os.path.join(out, "dataset", "test_000_L.pgm"))
 right = load_image(os.path.join(out, "dataset", "test_000_R.pgm"))
-lr_l = degrade(left, 2)
-sr_l, _ = sr_pair(params, lr_l, degrade(right, 2))
+lr = degrade(np.stack([left, right]), 2)
+sr = sr_pair(params, lr)
 panel = np.concatenate(
-    [bicubic_resize(lr_l, *left.shape[1:]), sr_l, left], axis=2
+    [bicubic_resize(lr[0], *left.shape[1:]), sr[0], left], axis=2
 )
 save_image(os.path.join(out, "panel_bicubic_sr_hr.pgm"), panel)
 print("wrote", os.path.join(out, "panel_bicubic_sr_hr.pgm"))

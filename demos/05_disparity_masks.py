@@ -25,7 +25,7 @@ params, _, _ = restore_model(load_checkpoint(ckpt))
 entry = [e for e in read_manifest(manifest) if e.split == "test"][0]
 frame = load_frame(entry, scale=2)
 
-m_lr, m_rl = masks_pair(params, frame.lr_left, frame.lr_right)
+m_lr, m_rl = masks_pair(params, frame.lr)
 
 recovered = mask_argmax_disparity(m_rl, "rl")
 truth_hr = load_disparity(disparity_sidecar_path(entry.left_path))

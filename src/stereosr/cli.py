@@ -149,33 +149,33 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_pair(args):
+def _load_pair(args, params) -> np.ndarray:
+    """The [2,C,h,w] LR pair named by --left/--right, checked against the model."""
     left = load_image(args.left)
     right = load_image(args.right)
     if left.shape != right.shape:
         raise ValueError(
             f"stereo pair shapes differ: left {left.shape} vs right {right.shape}"
         )
-    return left, right
-
-
-def _cmd_sr(args) -> int:
-    params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
-    left, right = _load_pair(args)
     if left.shape[0] != params.img_channels:
         raise ValueError(
             f"model expects {params.img_channels}-channel images, got {left.shape[0]}"
         )
-    sr_l, sr_r = sr_pair(params, left, right)
-    save_image(args.out_left, sr_l)
-    save_image(args.out_right, sr_r)
+    return np.stack([left, right])
+
+
+def _cmd_sr(args) -> int:
+    params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
+    sr = sr_pair(params, _load_pair(args, params))
+    save_image(args.out_left, sr[0])
+    save_image(args.out_right, sr[1])
     print(f"wrote {args.out_left} and {args.out_right}")
     return 0
 
 
 def _cmd_dump_masks(args) -> int:
     params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
-    m_lr, m_rl = masks_pair(params, *_load_pair(args))
+    m_lr, m_rl = masks_pair(params, _load_pair(args, params))
     disp_left = mask_argmax_disparity(m_rl, "rl")
     disp_right = mask_argmax_disparity(m_lr, "lr")
     for path, disp in ((args.out_left, disp_left), (args.out_right, disp_right)):

@@ -1,8 +1,11 @@
 """Stereo training data: degradation, patching, augmentation, synthesis.
 
-Frames and patches are numpy float arrays in [0, 1], shaped [C, H, W].
-A :class:`StereoSample` bundles the low-resolution pair with its
-high-resolution ground truth; the trainer stacks samples into autodiff
+Images are numpy float arrays in [0, 1], shaped [C, H, W]. A
+:class:`StereoSample` holds each stereo pair as one [2, C, H, W] array,
+eye 0 left: ``lr`` the low-resolution pair, ``hr`` its high-resolution
+ground truth. Every crop, flip and degradation acts on both eyes at once;
+``lr_left``, ``lr_right``, ``hr_left`` and ``hr_right`` are views of one
+eye that cannot be assigned. The trainer stacks samples into autodiff
 tensors at the batch boundary.
 
 The synthetic generator stands in for real capture. It renders a textured
@@ -34,34 +37,32 @@ SCALES = (2, 4)  # the supported super-resolution factors
 # ----------------------------------------------------------------------
 @dataclass
 class StereoSample:
-    """LR stereo pair plus HR ground truth, HR extents = scale * LR extents."""
+    """LR stereo pair [2,C,h,w] plus HR ground truth [2,C,h*scale,w*scale], eye 0 left."""
 
-    lr_left: np.ndarray
-    lr_right: np.ndarray
-    hr_left: np.ndarray
-    hr_right: np.ndarray
+    lr: np.ndarray
+    hr: np.ndarray
     scale: int
+
+    # per-eye views; there is no per-eye setter
+    lr_left = property(lambda self: self.lr[0])
+    lr_right = property(lambda self: self.lr[1])
+    hr_left = property(lambda self: self.hr[0])
+    hr_right = property(lambda self: self.hr[1])
 
 
 def validate_sample(sample: StereoSample) -> None:
     """Raise ValueError on any violated StereoSample invariant."""
     if sample.scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {sample.scale}")
-    if sample.lr_left.shape != sample.lr_right.shape:
+    if sample.lr.ndim != 4 or sample.lr.shape[0] != 2:
+        raise ValueError(f"LR pair must be [2, C, h, w], got shape {sample.lr.shape}")
+    _, c, h, w = sample.lr.shape
+    expected_hr = (2, c, h * sample.scale, w * sample.scale)
+    if sample.hr.shape != expected_hr:
         raise ValueError(
-            f"LR eyes differ in shape: {sample.lr_left.shape} vs {sample.lr_right.shape}"
+            f"HR shape {sample.hr.shape} is not scale*{(h, w)} pair {expected_hr}"
         )
-    if sample.hr_left.shape != sample.hr_right.shape:
-        raise ValueError(
-            f"HR eyes differ in shape: {sample.hr_left.shape} vs {sample.hr_right.shape}"
-        )
-    c, h, w = sample.lr_left.shape
-    expected_hr = (c, h * sample.scale, w * sample.scale)
-    if sample.hr_left.shape != expected_hr:
-        raise ValueError(
-            f"HR shape {sample.hr_left.shape} is not scale*{(h, w)} = {expected_hr}"
-        )
-    for name in ("lr_left", "lr_right", "hr_left", "hr_right"):
+    for name in ("lr", "hr"):
         arr = getattr(sample, name)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite values")
@@ -102,11 +103,11 @@ def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def degrade(hr: np.ndarray, scale: int) -> np.ndarray:
-    """Float32 LR frame of an HR [C,H,W] frame whose extents scale divides.
+    """Float32 LR frames of HR [..., C, H, W] frames whose extents scale divides.
 
     Bicubic down, then clipped: the overshoot can nudge values outside [0, 1].
     """
-    _, h, w = hr.shape
+    h, w = hr.shape[-2:]
     lr = bicubic_resize(hr, h // scale, w // scale).astype(np.float32, copy=False)
     return np.clip(lr, 0.0, 1.0)
 
@@ -129,7 +130,7 @@ def extract_patches(
     Patch geometry is given in LR pixels; HR crops are the co-located
     scale-multiplied windows. Left and right share one offset grid.
     """
-    _, h, w = sample.lr_left.shape
+    h, w = sample.lr.shape[-2:]
     offs_h = patch_offsets(h, patch_h, stride)
     offs_w = patch_offsets(w, patch_w, stride)
     if not offs_h or not offs_w:
@@ -138,23 +139,15 @@ def extract_patches(
         )
         return []
     s = sample.scale
-    patches = []
-    for i in offs_h:
-        for j in offs_w:
-            patches.append(
-                StereoSample(
-                    lr_left=sample.lr_left[:, i : i + patch_h, j : j + patch_w].copy(),
-                    lr_right=sample.lr_right[:, i : i + patch_h, j : j + patch_w].copy(),
-                    hr_left=sample.hr_left[
-                        :, s * i : s * (i + patch_h), s * j : s * (j + patch_w)
-                    ].copy(),
-                    hr_right=sample.hr_right[
-                        :, s * i : s * (i + patch_h), s * j : s * (j + patch_w)
-                    ].copy(),
-                    scale=s,
-                )
-            )
-    return patches
+    return [
+        StereoSample(
+            lr=sample.lr[..., i : i + patch_h, j : j + patch_w].copy(),
+            hr=sample.hr[..., s * i : s * (i + patch_h), s * j : s * (j + patch_w)].copy(),
+            scale=s,
+        )
+        for i in offs_h
+        for j in offs_w
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -163,22 +156,14 @@ def extract_patches(
 def flip_horizontal(sample: StereoSample) -> StereoSample:
     """Mirror both eyes along width and swap them, keeping disparity positive."""
     return StereoSample(
-        lr_left=sample.lr_right[:, :, ::-1].copy(),
-        lr_right=sample.lr_left[:, :, ::-1].copy(),
-        hr_left=sample.hr_right[:, :, ::-1].copy(),
-        hr_right=sample.hr_left[:, :, ::-1].copy(),
-        scale=sample.scale,
+        sample.lr[::-1, :, :, ::-1].copy(), sample.hr[::-1, :, :, ::-1].copy(), sample.scale
     )
 
 
 def flip_vertical(sample: StereoSample) -> StereoSample:
     """Mirror both eyes along height; the epipolar geometry is unaffected."""
     return StereoSample(
-        lr_left=sample.lr_left[:, ::-1, :].copy(),
-        lr_right=sample.lr_right[:, ::-1, :].copy(),
-        hr_left=sample.hr_left[:, ::-1, :].copy(),
-        hr_right=sample.hr_right[:, ::-1, :].copy(),
-        scale=sample.scale,
+        sample.lr[:, :, ::-1, :].copy(), sample.hr[:, :, ::-1, :].copy(), sample.scale
     )
 
 
@@ -295,6 +280,8 @@ def synth_stereo(
     content is the left frame resampled by it.
     """
     d_min, d_max = disparity_range
+    if not (np.isfinite(d_min) and np.isfinite(d_max)):
+        raise ValueError(f"disparity range {disparity_range} has a non-finite bound")
     if d_min > d_max:
         raise ValueError(f"empty disparity range {disparity_range}")
     if d_max >= frame_w:
@@ -321,14 +308,8 @@ def synth_stereo(
         field = (field - field.min()) / max(field.max() - field.min(), 1e-9)
         disparity = d_min + (d_max - d_min) * field
 
-    hr_right = _shift_rows(hr_left, disparity)
-    sample = StereoSample(
-        lr_left=degrade(hr_left, scale),
-        lr_right=degrade(hr_right, scale),
-        hr_left=hr_left.astype(np.float32),
-        hr_right=hr_right.astype(np.float32),
-        scale=scale,
-    )
+    hr = np.stack([hr_left, _shift_rows(hr_left, disparity)])
+    sample = StereoSample(degrade(hr, scale), hr.astype(np.float32), scale)
     return sample, disparity.astype(np.float32)
 
 
@@ -427,9 +408,8 @@ def load_frame(entry: ManifestEntry, scale: int) -> StereoSample:
         raise ValueError(
             f"frame {entry.left_path} extents {h}x{w} not divisible by scale {scale}"
         )
-    return StereoSample(
-        degrade(hr_left, scale), degrade(hr_right, scale), hr_left, hr_right, scale
-    )
+    hr = np.stack([hr_left, hr_right])
+    return StereoSample(degrade(hr, scale), hr, scale)
 
 
 def manifest_frames(manifest_path: str, split: str, scale: int) -> List[StereoSample]:

@@ -32,21 +32,17 @@ def numerical_gradient(
     return grad.reshape(param.shape)
 
 
-def relative_errors(
-    analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6
-) -> np.ndarray:
-    """Elementwise |a - n| / max(|a|, |n|, floor).
+def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Elementwise |a - n| / max(|a|, |n|, 1e-6).
 
     The floor keeps near-zero gradients from inflating the ratio with
     finite-difference round-off noise.
     """
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return np.abs(analytic - numeric) / denom
 
 
-def scaled_max_error(
-    analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8
-) -> float:
+def scaled_max_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """max|a - n| relative to the gradient's own scale (infinity norms).
 
     This is the right comparison for a whole tensor: a pointwise ratio on
@@ -55,7 +51,7 @@ def scaled_max_error(
     correctness.
     """
     scale = max(float(np.abs(analytic).max(initial=0.0)),
-                float(np.abs(numeric).max(initial=0.0)), floor)
+                float(np.abs(numeric).max(initial=0.0)), 1e-8)
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 

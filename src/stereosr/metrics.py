@@ -17,8 +17,8 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / mse); identical inputs give +inf."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / mse) for a peak of 1; identical inputs give +inf."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -26,7 +26,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _gaussian_window(n: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
@@ -43,8 +43,8 @@ def _valid_filter(img: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, len(w), axis=1) @ w
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """Single-scale SSIM with an 11x11 Gaussian window (sigma 1.5).
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
+    """Single-scale SSIM of [0, 1] images with an 11x11 Gaussian window (sigma 1.5).
 
     Scores are averaged over all valid window positions and channels.
     """
@@ -63,8 +63,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
             f"image {h}x{w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
         )
     win = _gaussian_window()
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     scores = []
     for x, y in zip(a, b):
         mu_x = _valid_filter(x, win)
@@ -127,21 +127,17 @@ def evaluate(
     report = EvalReport(method=method, scale=scale)
     for idx, frame in enumerate(frames):
         if method == "bicubic":
-            eyes = np.stack([frame.lr_left, frame.lr_right])
-            sr_left, sr_right = bicubic_resize(eyes, *frame.hr_left.shape[1:])
+            sr = bicubic_resize(frame.lr, *frame.hr.shape[-2:])
         elif method == "model":
             if params is None:
                 raise ValueError("method 'model' requires params")
-            sr_left, sr_right = sr_pair(params, frame.lr_left, frame.lr_right)
+            sr = sr_pair(params, frame.lr)
         else:
             raise ValueError(f"unknown method {method!r}")
         image_id = f"{split}_{idx:03d}"
-        for eye, sr, hr in (
-            ("L", sr_left, frame.hr_left),
-            ("R", sr_right, frame.hr_right),
-        ):
+        for eye, sr_eye, hr_eye in zip("LR", sr, frame.hr):
             report.records.append(
-                EvalRecord(image_id, eye, psnr(sr, hr), ssim(sr, hr))
+                EvalRecord(image_id, eye, psnr(sr_eye, hr_eye), ssim(sr_eye, hr_eye))
             )
     if csv_path:
         report.write_csv(csv_path)

@@ -78,6 +78,10 @@ def init_model(
 ) -> ModelParams:
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale}")
+    if channels < 1 or img_channels < 1:
+        raise ValueError(
+            f"channels and img_channels must be >= 1, got {channels} and {img_channels}"
+        )
     attention = AttentionParams(
         mix=init_res_aspp_block(rng, channels, dtype),
         query=init_conv(rng, channels, channels, 1, dtype),
@@ -219,25 +223,17 @@ def super_resolve(
     return sr_left, sr_right, m_lr, m_rl
 
 
-def sr_pair(
-    params: ModelParams, left: np.ndarray, right: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Super-resolve one [C,h,w] LR pair without a graph; returns (sr_left, sr_right)."""
+def sr_pair(params: ModelParams, lr: np.ndarray) -> np.ndarray:
+    """Super-resolve one [2,C,h,w] LR pair without a graph; returns the [2,C,H,W] SR pair."""
     with T.no_grad():
-        sr_left, sr_right, _, _ = super_resolve(
-            Tensor(left[None]), Tensor(right[None]), params
-        )
-    return sr_left.data[0], sr_right.data[0]
+        sr_left, sr_right, _, _ = super_resolve(Tensor(lr[:1]), Tensor(lr[1:]), params)
+    return np.concatenate([sr_left.data, sr_right.data])
 
 
-def masks_pair(
-    params: ModelParams, left: np.ndarray, right: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """LR masks of one [C,h,w] pair without a graph; returns (m_lr, m_rl), each [h,w,w]."""
+def masks_pair(params: ModelParams, lr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """LR masks of one [2,C,h,w] pair without a graph; returns (m_lr, m_rl), each [h,w,w]."""
     with T.no_grad():
-        f_left, f_right = extract_features(
-            Tensor(left[None]), Tensor(right[None]), params.extractor
-        )
+        f_left, f_right = extract_features(Tensor(lr[:1]), Tensor(lr[1:]), params.extractor)
         m_lr, m_rl = attention_masks(f_left, f_right, params.attention)
     return m_lr.data[0], m_rl.data[0]
 
@@ -270,10 +266,8 @@ def forward_full(lr_left: Tensor, lr_right: Tensor, params: ModelParams) -> Forw
 # ----------------------------------------------------------------------
 def batch_tensors(samples, dtype=np.float32) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
     """Stack StereoSamples into (lr_left, lr_right, hr_left, hr_right) tensors."""
-    lr_l = np.stack([s.lr_left for s in samples]).astype(dtype)
-    lr_r = np.stack([s.lr_right for s in samples]).astype(dtype)
-    hr_l = np.stack([s.hr_left for s in samples]).astype(dtype)
-    hr_r = np.stack([s.hr_right for s in samples]).astype(dtype)
+    lr_l, lr_r = np.stack([s.lr for s in samples], axis=1).astype(dtype)
+    hr_l, hr_r = np.stack([s.hr for s in samples], axis=1).astype(dtype)
     return Tensor(lr_l), Tensor(lr_r), Tensor(hr_l), Tensor(hr_r)
 
 

@@ -18,20 +18,16 @@ LR_HALVING_PERIOD = 30  # epochs
 
 
 def xavier_uniform(shape, rng: np.random.Generator, dtype=np.float32) -> Tensor:
-    """Uniform init on +/- sqrt(6 / (fan_in + fan_out)) for conv/linear shapes.
+    """Uniform init on +/- sqrt(6 / (fan_in + fan_out)) for an [O, C, kH, kW] kernel.
 
-    For an [O, C, kH, kW] kernel, fan_in = C*kH*kW and fan_out = O*kH*kW;
-    a 2-D shape is treated as [fan_out, fan_in].
+    fan_in = C*kH*kW and fan_out = O*kH*kW.
     """
     shape = tuple(int(n) for n in shape)
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    elif len(shape) == 4:
-        o, c, kh, kw = shape
-        fan_in = c * kh * kw
-        fan_out = o * kh * kw
-    else:
+    if len(shape) != 4:
         raise ValueError(f"cannot derive fans for shape {shape}")
+    o, c, kh, kw = shape
+    fan_in = c * kh * kw
+    fan_out = o * kh * kw
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     data = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return Tensor(data, requires_grad=True)

@@ -336,10 +336,8 @@ def _validate_metrics(params: ModelParams, frames) -> Tuple[float, float]:
     ps, ss = [], []
     with no_grad():
         for frame in frames:
-            sr_l, sr_r, _, _ = super_resolve(
-                Tensor(frame.lr_left[None]), Tensor(frame.lr_right[None]), params
-            )
-            for sr, hr in ((sr_l.data[0], frame.hr_left), (sr_r.data[0], frame.hr_right)):
+            sr_l, sr_r, _, _ = super_resolve(Tensor(frame.lr[:1]), Tensor(frame.lr[1:]), params)
+            for sr, hr in zip((sr_l.data[0], sr_r.data[0]), frame.hr):
                 ps.append(psnr(sr, hr))
                 ss.append(ssim(sr, hr))
     return float(np.mean(ps)), float(np.mean(ss))
@@ -367,7 +365,7 @@ def train(
     if not patches:
         raise ValueError("train split produced no patches")
     val_frames = manifest_frames(cfg.manifest, "val", cfg.scale)
-    img_channels = patches[0].lr_left.shape[0]
+    img_channels = patches[0].lr.shape[1]
 
     if resume:
         params, adam, meta = restore_model(load_checkpoint(resume))

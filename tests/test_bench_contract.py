@@ -2,8 +2,9 @@
 
 The benchmark's tracer rebinds package functions where their callers look
 them up, and its train-desk workload rebinds three attributes of
-``training`` and reads a few config fields. A refactor that renames or
-moves one of them should fail here, not in a benchmark run.
+``training`` and reads a few config fields. Its serving workloads and
+reference checks read each eye of a stereo sample by name. A refactor
+that renames or moves one of them should fail here, not in a benchmark run.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import stereosr
-from stereosr import data, losses, model, optim, training
+from stereosr import data, losses, model, optim, tensor, training
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -75,3 +76,27 @@ def test_log_headers_whose_column_1_the_workloads_read(tmp_path):
         assert fh.readline() == "step,total,mse,dc,apam,photo,smooth_lr,smooth_rl,cycle\n"
     with open(result.val_csv) as fh:
         assert fh.readline() == "epoch,psnr_db,ssim\n"
+
+
+def _assert_eye_views(sample, c, h, w, scale):
+    for name, shape in (("lr", (c, h, w)), ("hr", (c, scale * h, scale * w))):
+        for eye in ("left", "right"):
+            view = getattr(sample, f"{name}_{eye}")
+            assert isinstance(view, np.ndarray) and view.shape == shape, (name, eye)
+
+
+def test_stereo_sample_eye_names_read_by_the_workloads(tmp_path):
+    sample, _ = data.synth_stereo(0, 16, 48, (2.0, 4.0), 2)
+    _assert_eye_views(sample, 1, 8, 24, 2)
+    manifest = data.generate_dataset(str(tmp_path), 0, (0, 2, 0), 16, 48, (2.0, 4.0), 2)
+    frames = data.manifest_frames(manifest, "val", 2)
+    assert len(frames) == 2
+    for frame in frames:
+        _assert_eye_views(frame, 1, 8, 24, 2)
+
+
+def test_batch_tensors_returns_the_four_tensors_the_step_probe_unpacks():
+    sample, _ = data.synth_stereo(0, 16, 48, (2.0, 4.0), 2)
+    out = training.batch_tensors([sample, sample])
+    assert len(out) == 4 and all(isinstance(t, tensor.Tensor) for t in out)
+    assert [t.shape for t in out] == [(2, 1, 8, 24)] * 2 + [(2, 1, 16, 48)] * 2

@@ -50,6 +50,18 @@ class TestGenData:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("disparity", ["nan,nan", "-inf,2"])
+    def test_non_finite_disparity_exits_1(self, tmp_path, capsys, disparity):
+        out = str(tmp_path / "g")
+        code = main([
+            "gen-data", "--out", out, f"--disparity={disparity}", "--size", "8x16",
+            "--frames", "1,0,0",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite" in err, err
+        assert not os.path.exists(os.path.join(out, "manifest.txt"))
+
 
 class TestTrain:
     def test_desk_train_with_config_file_and_overrides(self, dataset, tmp_path, capsys):
@@ -355,6 +367,20 @@ class TestSr:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["sr", "dump-masks"])
+def test_channel_mismatch_exits_1(checkpoint, tmp_path, capsys, command):
+    """An RGB pair given to a grayscale model is refused before the first conv."""
+    image = str(tmp_path / "rgb.ppm")
+    save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2, channels=3)[0].lr_left)
+    code = main([
+        command, "--checkpoint", checkpoint, "--left", image, "--right", image,
+        "--out-left", str(tmp_path / "o1.pgm"), "--out-right", str(tmp_path / "o2.pgm"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "model expects 1-channel images, got 3" in err, err
+
+
 class TestDumpMasks:
     def test_writes_disparity_images(self, dataset, checkpoint, tmp_path):
         root, _ = dataset
@@ -381,6 +407,13 @@ class TestGradcheckCommand:
         assert code == 0
         assert "max relative error" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("channels", ["0", "-1"])
+    def test_non_positive_channels_exit_1(self, capsys, channels):
+        code = main(["gradcheck", "--channels", channels, "--patch", "4x8"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "channels" in err, err
 
 
 class TestUsage:

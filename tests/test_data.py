@@ -107,17 +107,22 @@ class TestBicubicResize:
             bicubic_resize(rng.random((4, 4)), 2, 2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 8])
-    @pytest.mark.parametrize("out", [(48, 80), (12, 20)], ids=["up", "down"])
-    def test_batch_equals_per_image_stack(self, rng, dtype, n, out):
+    @pytest.mark.parametrize(
+        "shape, out",
+        [((n, 2, 24, 40), out) for out in ((48, 80), (12, 20)) for n in (1, 8)]
+        # a stacked stereo pair at each workload's HR frame size, degraded by 2
+        + [((2, 1, h, w), (h // 2, w // 2)) for h, w in ((128, 256), (96, 640), (48, 144))],
+        ids=["up-1", "up-8", "down-1", "down-8", "eyes-128x256", "eyes-96x640", "eyes-48x144"],
+    )
+    def test_batch_equals_per_image_stack(self, rng, dtype, shape, out):
         """Leading axes resample each image exactly as a [C,H,W] call does."""
-        imgs = rng.random((n, 2, 24, 40)).astype(dtype)
+        imgs = rng.random(shape).astype(dtype)
         got = bicubic_resize(imgs, *out)
         want = np.stack([bicubic_resize(img, *out) for img in imgs])
-        assert got.dtype == dtype and got.shape == (n, 2) + out
+        assert got.dtype == dtype and got.shape == shape[:2] + out
         assert got.tobytes() == want.tobytes()
         deeper = bicubic_resize(imgs[None], *out)
-        assert deeper.shape == (1, n, 2) + out and deeper.tobytes() == want.tobytes()
+        assert deeper.shape == (1,) + shape[:2] + out and deeper.tobytes() == want.tobytes()
 
     def test_weight_cache_is_bounded(self, rng):
         """A stream of new sizes evicts old matrices and keeps the results."""
@@ -160,13 +165,8 @@ def make_frame(rng, h, w, scale=2, fill=None):
     else:
         hr_l = np.full((1, hr_h, hr_w), fill, dtype=np.float32)
         hr_r = hr_l.copy()
-    return StereoSample(
-        lr_left=bicubic_resize(hr_l, h, w).clip(0, 1),
-        lr_right=bicubic_resize(hr_r, h, w).clip(0, 1),
-        hr_left=hr_l,
-        hr_right=hr_r,
-        scale=scale,
-    )
+    hr = np.stack([hr_l, hr_r])
+    return StereoSample(lr=bicubic_resize(hr, h, w).clip(0, 1), hr=hr, scale=scale)
 
 
 class TestExtractPatches:
@@ -209,8 +209,35 @@ class TestExtractPatches:
         frame = make_frame(rng, 40, 100)
         patches = extract_patches(frame, 30, 90, 10)
         for p in patches:
-            assert p.lr_left.shape == p.lr_right.shape
-            assert p.hr_left.shape == p.hr_right.shape
+            assert p.lr.shape == (2, 1, 30, 90)
+            assert p.hr.shape == (2, 1, 60, 180)
+
+    def test_patch_is_the_same_window_of_each_eye(self, rng):
+        frame = make_frame(rng, 40, 100)
+        p = extract_patches(frame, 30, 90, 10)[-1]
+        for eye in range(2):
+            np.testing.assert_array_equal(p.lr[eye], frame.lr[eye][:, 10:40, 10:100])
+            np.testing.assert_array_equal(p.hr[eye], frame.hr[eye][:, 20:80, 20:200])
+
+
+class TestStereoSample:
+    def test_eye_views_are_the_pair_halves(self, rng):
+        frame = make_frame(rng, 6, 8)
+        np.testing.assert_array_equal(frame.lr_left, frame.lr[0])
+        np.testing.assert_array_equal(frame.lr_right, frame.lr[1])
+        np.testing.assert_array_equal(frame.hr_left, frame.hr[0])
+        np.testing.assert_array_equal(frame.hr_right, frame.hr[1])
+        with pytest.raises(AttributeError):
+            frame.lr_left = frame.lr[1]
+
+    def test_validate_rejects_a_lone_eye_and_a_wrong_hr(self, rng):
+        frame = make_frame(rng, 6, 8)
+        with pytest.raises(ValueError, match=r"\[2, C, h, w\]"):
+            validate_sample(StereoSample(frame.lr[0], frame.hr, 2))
+        with pytest.raises(ValueError, match="HR shape"):
+            validate_sample(StereoSample(frame.lr, frame.hr[:, :, :-2], 2))
+        with pytest.raises(ValueError, match="HR shape"):
+            validate_sample(StereoSample(frame.lr, frame.hr[:1], 2))
 
 
 class TestAugment:
@@ -225,6 +252,17 @@ class TestAugment:
         back = flip_vertical(flip_vertical(frame))
         np.testing.assert_array_equal(back.lr_right, frame.lr_right)
         np.testing.assert_array_equal(back.hr_left, frame.hr_left)
+
+    def test_horizontal_flip_mirrors_and_swaps_the_eyes(self, rng):
+        frame = make_frame(rng, 12, 20)
+        out = flip_horizontal(frame)
+        np.testing.assert_array_equal(out.lr_left, frame.lr_right[:, :, ::-1])
+        np.testing.assert_array_equal(out.lr_right, frame.lr_left[:, :, ::-1])
+        np.testing.assert_array_equal(out.hr_left, frame.hr_right[:, :, ::-1])
+        np.testing.assert_array_equal(out.hr_right, frame.hr_left[:, :, ::-1])
+        up = flip_vertical(frame)
+        np.testing.assert_array_equal(up.lr_right, frame.lr_right[:, ::-1, :])
+        np.testing.assert_array_equal(up.hr_left, frame.hr_left[:, ::-1, :])
 
     def test_flipped_sample_keeps_invariants(self, rng):
         frame = make_frame(rng, 12, 20)
@@ -242,8 +280,7 @@ class TestAugment:
             validate_sample(out)
             seen.update(
                 k for k, f in enumerate(flips)
-                if all(np.array_equal(getattr(out, a), getattr(f, a))
-                       for a in ("lr_left", "lr_right", "hr_left", "hr_right"))
+                if np.array_equal(out.lr, f.lr) and np.array_equal(out.hr, f.hr)
             )
             ref = np.random.default_rng(seed)
             ref.random(2)
@@ -291,6 +328,18 @@ class TestSynthStereo:
     def test_range_exceeding_width_rejected(self):
         with pytest.raises(ValueError, match="disparity"):
             synth_stereo(0, 16, 16, (0.0, 20.0), scale=2)
+
+    @pytest.mark.parametrize(
+        "bounds", [(np.nan, np.nan), (1.0, np.nan), (-np.inf, 2.0)], ids=["nan", "nan-max", "-inf"]
+    )
+    def test_non_finite_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match="non-finite"):
+            synth_stereo(0, 8, 16, bounds, scale=2)
+
+    def test_pair_layout(self):
+        sample, _ = synth_stereo(8, 16, 32, (1.0, 3.0), scale=2, channels=3)
+        assert sample.lr.shape == (2, 3, 8, 16) and sample.hr.shape == (2, 3, 16, 32)
+        assert sample.lr.dtype == sample.hr.dtype == np.float32
 
     def test_rgb_channels(self):
         sample, _ = synth_stereo(4, 16, 32, (1.0, 2.0), scale=2, channels=3)

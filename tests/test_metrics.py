@@ -26,12 +26,12 @@ class TestPsnr:
     def test_known_mse(self):
         a = np.zeros((1, 10, 10))
         b = np.full((1, 10, 10), 0.1)
-        assert psnr(a, b, peak=1.0) == pytest.approx(20.0, abs=1e-9)
+        assert psnr(a, b) == pytest.approx(20.0, abs=1e-9)
 
     def test_full_scale_error_is_zero_db(self):
         a = np.zeros((1, 4, 4))
         b = np.ones((1, 4, 4))
-        assert psnr(a, b, peak=1.0) == pytest.approx(0.0, abs=1e-12)
+        assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):

@@ -15,6 +15,7 @@ from stereosr.model import (
     mask_argmax_disparity,
     masks_pair,
     reconstruct_sr,
+    sr_pair,
     super_resolve,
     warp,
     zero_model,
@@ -219,7 +220,7 @@ class TestMasksPair:
     def test_equals_extract_features_and_attention_masks(self, rng):
         params = tiny_model(rng)
         sample, _ = synth_stereo(11, 16, 40, (2.0, 4.0), scale=2)
-        m_lr, m_rl = masks_pair(params, sample.lr_left, sample.lr_right)
+        m_lr, m_rl = masks_pair(params, sample.lr)
         with T.no_grad():
             f_l, f_r = extract_features(
                 Tensor(sample.lr_left[None]), Tensor(sample.lr_right[None]), params.extractor
@@ -228,6 +229,34 @@ class TestMasksPair:
         assert m_lr.shape == m_rl.shape == (8, 20, 20)
         assert m_lr.tobytes() == want_lr.data[0].tobytes()
         assert m_rl.tobytes() == want_rl.data[0].tobytes()
+
+
+class TestPairHelpers:
+    def test_sr_pair_equals_super_resolve(self, rng):
+        params = tiny_model(rng)
+        sample, _ = synth_stereo(12, 16, 40, (2.0, 4.0), scale=2)
+        sr = sr_pair(params, sample.lr)
+        with T.no_grad():
+            want_l, want_r, _, _ = super_resolve(
+                Tensor(sample.lr_left[None]), Tensor(sample.lr_right[None]), params
+            )
+        assert sr.shape == (2, 1, 16, 40)
+        assert sr[0].tobytes() == want_l.data[0].tobytes()
+        assert sr[1].tobytes() == want_r.data[0].tobytes()
+
+    def test_batch_tensors_stacks_each_eye(self):
+        samples = [synth_stereo(k, 8, 16, (1.0, 2.0), scale=2)[0] for k in range(3)]
+        lr_l, lr_r, hr_l, hr_r = batch_tensors(samples, dtype=np.float64)
+        names = ("lr_left", "lr_right", "hr_left", "hr_right")
+        for got, name in zip((lr_l, lr_r, hr_l, hr_r), names):
+            want = np.stack([getattr(s, name) for s in samples]).astype(np.float64)
+            assert got.data.flags.c_contiguous and got.dtype == np.float64
+            assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("channels, img_channels", [(0, 1), (-1, 1), (4, 0)])
+    def test_init_model_rejects_non_positive_channels(self, rng, channels, img_channels):
+        with pytest.raises(ValueError, match="channels"):
+            init_model(rng, 2, channels, img_channels)
 
 
 class TestMaskDisparity:

@@ -63,14 +63,14 @@ def small_cfg(manifest, out_dir, **overrides):
 
 class TestXavier:
     def test_bound_for_equal_fans(self, rng):
-        t = xavier_uniform((3, 3), rng)
+        t = xavier_uniform((3, 3, 1, 1), rng)
         assert np.abs(t.data).max() <= 1.0  # sqrt(6/(3+3)) = 1
 
     def test_empirical_variance(self, rng):
         fan_in, fan_out = 40, 60
-        t = xavier_uniform((fan_out, fan_in), np.random.default_rng(0))
+        t = xavier_uniform((fan_out, fan_in, 1, 1), np.random.default_rng(0))
         samples = [
-            xavier_uniform((fan_out, fan_in), np.random.default_rng(k)).data
+            xavier_uniform((fan_out, fan_in, 1, 1), np.random.default_rng(k)).data
             for k in range(42)
         ]
         var = np.concatenate([s.ravel() for s in samples]).var()
