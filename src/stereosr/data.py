@@ -265,6 +265,29 @@ def _shift_rows(img: np.ndarray, disparity: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_frame_args(
+    frame_h: int, frame_w: int, disparity_range: Tuple[float, float], scale: int
+) -> None:
+    """Raise ValueError unless synth_stereo can render a frame of these arguments."""
+    d_min, d_max = disparity_range
+    if not (np.isfinite(d_min) and np.isfinite(d_max)):
+        raise ValueError(f"disparity range {disparity_range} has a non-finite bound")
+    if frame_h < 1 or frame_w < 1:
+        raise ValueError(f"frame extents {frame_h}x{frame_w} must be positive")
+    if d_min > d_max:
+        raise ValueError(f"empty disparity range {disparity_range}")
+    if d_min < 0:
+        raise ValueError(
+            f"disparity range {disparity_range} has a negative bound; disparities are >= 0"
+        )
+    if d_max >= frame_w:
+        raise ValueError(f"disparity range {disparity_range} exceeds width {frame_w}")
+    if frame_h % scale or frame_w % scale:
+        raise ValueError(
+            f"frame extents {frame_h}x{frame_w} must be divisible by scale {scale}"
+        )
+
+
 def synth_stereo(
     seed: int,
     frame_h: int,
@@ -279,17 +302,8 @@ def synth_stereo(
     The returned field is the HR left-image disparity in pixels; right
     content is the left frame resampled by it.
     """
+    _check_frame_args(frame_h, frame_w, disparity_range, scale)
     d_min, d_max = disparity_range
-    if not (np.isfinite(d_min) and np.isfinite(d_max)):
-        raise ValueError(f"disparity range {disparity_range} has a non-finite bound")
-    if d_min > d_max:
-        raise ValueError(f"empty disparity range {disparity_range}")
-    if d_max >= frame_w:
-        raise ValueError(f"disparity range {disparity_range} exceeds width {frame_w}")
-    if frame_h % scale or frame_w % scale:
-        raise ValueError(
-            f"frame extents {frame_h}x{frame_w} must be divisible by scale {scale}"
-        )
     rng = np.random.default_rng(seed)
     if channels == 1:
         hr_left = _render_texture(rng, frame_h, frame_w)[None]
@@ -370,8 +384,11 @@ def generate_dataset(
     test frames from a disjoint family, so the test split never shares
     content statistics drawn from the same seeds.
     """
-    os.makedirs(out_dir, exist_ok=True)
     n_train, n_val, n_test = counts
+    if min(counts) < 0:
+        raise ValueError(f"frame counts {counts} must be non-negative")
+    _check_frame_args(frame_h, frame_w, disparity_range, scale)
+    os.makedirs(out_dir, exist_ok=True)
     entries = []
     plan = [("train", n_train, 0), ("val", n_val, 0), ("test", n_test, 1)]
     index = 0

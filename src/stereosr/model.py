@@ -1,9 +1,9 @@
 """Row-wise parallax attention, feature warping, and SR reconstruction.
 
 Attention scores are per-row dot products between query features of one
-eye and key features of the other, computed with rows as the matmul batch.
-Softmax over the last axis turns each score matrix into a pair of
-disparity masks:
+eye and key features of the other, computed with rows as the matmul batch
+(``tensor.row_attention``, a block of rows at a time). Softmax over the
+last axis turns each score matrix into a pair of disparity masks:
 
   * ``M_rl[n, i, a, b]``: weight of right column b when reconstructing
     left column a on row i (softmax over b, warps right -> left).
@@ -122,14 +122,17 @@ def _rows_as_batch(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 3, 1).reshape(n * h, w, c)
 
 
-def attention_scores(
+def attention_masks(
     f_left: Tensor, f_right: Tensor, params: AttentionParams
-) -> Tensor:
-    """Per-row correspondence scores S[n,i,a,b] = <query(left)[i,a], key(right)[i,b]> / C.
+) -> Tuple[Tensor, Tensor]:
+    """Bidirectional disparity masks, each [N,H,W,W] with unit row slices.
 
+    The per-row scores are S[n,i,a,b] = <query(left)[i,a], key(right)[i,b]> / C.
     The 1/C normalization keeps the softmax out of saturation at init;
     raw dot products over C channels otherwise start with logit spreads
     of several units, freezing the masks on random peaks.
+
+    Returns (M_lr, M_rl): M_lr warps left->right, M_rl warps right->left.
     """
     if f_left.shape != f_right.shape:
         raise ValueError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
@@ -140,21 +143,8 @@ def attention_scores(
     n, c, h, w = q.shape
     q_rows = _rows_as_batch(q)  # [N*H, W, C]
     k_rows = k.transpose(0, 2, 1, 3).reshape(n * h, c, w)  # [N*H, C, W]
-    scores = T.batch_matmul(q_rows, k_rows).reshape(n, h, w, w)
-    return scores * (1.0 / c)
-
-
-def attention_masks(
-    f_left: Tensor, f_right: Tensor, params: AttentionParams
-) -> Tuple[Tensor, Tensor]:
-    """Bidirectional disparity masks, each [N,H,W,W] with unit row slices.
-
-    Returns (M_lr, M_rl): M_lr warps left->right, M_rl warps right->left.
-    """
-    scores = attention_scores(f_left, f_right, params)
-    m_rl = T.softmax_lastdim(scores)
-    m_lr = T.softmax_lastdim(scores.transpose(0, 1, 3, 2))
-    return m_lr, m_rl
+    m_lr, m_rl = T.row_attention(q_rows, k_rows, 1.0 / c)
+    return m_lr.reshape(n, h, w, w), m_rl.reshape(n, h, w, w)
 
 
 def warp(mask: Tensor, image: Tensor) -> Tensor:

@@ -13,6 +13,11 @@ Conventions:
   * the graph is rebuilt on every forward pass (define-by-run).
   * an op allocates only its output; state needed only by the backward
     pass is built inside the vjp from the parents' data.
+  * ``row_attention`` works its rows in blocks and writes both softmax
+    directions into one buffer, so attention holds its two [B,W,W] masks
+    and never a full score volume. A served pair therefore holds two full
+    arrays, not three; the masks themselves remain full-size because
+    ``model.super_resolve`` returns them.
 """
 
 from __future__ import annotations
@@ -430,24 +435,86 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ----------------------------------------------------------------------
 # softmax / matmul
 # ----------------------------------------------------------------------
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    # one C-order copy, worked in place: the contiguous layout pins the
-    # reduction order, keeping results bit-identical whether the input is
-    # a transposed view or not, and the input itself is never written
-    y = np.array(a.data, order="C")
+def _softmax_(y: np.ndarray) -> None:
+    """Softmax along the last axis of a C-order array, in place, stabilized by
+    max subtraction. The contiguous layout pins the reduction order."""
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        gx = g * y
-        inner = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=gx)
-        gx *= y
-        return (gx,)
 
-    return _make(y, (a,), vjp, "softmax_lastdim")
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of a last-axis softmax with output ``y``."""
+    gx = g * y
+    inner = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=gx)
+    gx *= y
+    return gx
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction."""
+    # one C-order copy, worked in place: results are bit-identical whether
+    # the input is a transposed view or not, and the input is never written
+    y = np.array(a.data, order="C")
+    _softmax_(y)
+    return _make(y, (a,), lambda g: (_softmax_grad(g, y),), "softmax_lastdim")
+
+
+# Bytes of scores that ``row_attention`` handles per block of rows: the block
+# and its transpose stay in cache while the two softmaxes run.
+_ATTENTION_BLOCK_BYTES = 1 << 20
+
+
+def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float):
+    """Both softmax directions of the per-row scores S = scale * q_rows @ k_rows.
+
+    Takes q_rows [B,W,C] and k_rows [B,C,W]; returns (m_lr, m_rl), each
+    [B,W,W]: m_rl = softmax(S) and m_lr = softmax(S^T), both over the last
+    axis. Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of
+    S and of S^T bit for bit, gradients included, but the rows are worked in
+    blocks of ``_ATTENTION_BLOCK_BYTES``: both masks are written in place into
+    one [2,B,W,W] buffer and no full score volume is ever held.
+    """
+    if (
+        q_rows.ndim != 3
+        or k_rows.ndim != 3
+        or q_rows.shape != (k_rows.shape[0], k_rows.shape[2], k_rows.shape[1])
+    ):
+        raise ValueError(
+            f"row_attention expects q [B,W,C] and k [B,C,W], got {q_rows.shape} and {k_rows.shape}"
+        )
+    q, k = q_rows.data, k_rows.data
+    B, W, _ = q.shape
+    buf = np.empty((2, B, W, W), dtype=np.result_type(q, k))
+    m_lr, m_rl = buf
+    scale = np.asarray(scale, dtype=buf.dtype)
+    step = max(1, _ATTENTION_BLOCK_BYTES // max(W * W * buf.itemsize, 1))
+    for r in range(0, B, step):
+        rows = slice(r, r + step)
+        s = m_rl[rows]
+        np.matmul(q[rows], k[rows], out=s)
+        s *= scale
+        m_lr[rows] = s.transpose(0, 2, 1)
+        _softmax_(s)
+        _softmax_(m_lr[rows])
+
+    def scores_vjp(g):
+        g = g * scale
+        return np.matmul(g, k.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), g)
+
+    # the scores node holds no data: the engine sums both masks' gradients
+    # into it (g_lr^T + g_rl) before its vjp runs; m_lr is made last, so its
+    # gradient is the first term, as when S^T was a transpose node
+    scores = _make(np.empty(0, dtype=buf.dtype), (q_rows, k_rows), scores_vjp, "row_attention")
+    out_rl = _make(m_rl, (scores,), lambda g: (_softmax_grad(g, m_rl),), "row_attention")
+    out_lr = _make(
+        m_lr,
+        (scores,),
+        lambda g: (_softmax_grad(g, m_lr).transpose(0, 2, 1),),
+        "row_attention",
+    )
+    return out_lr, out_rl
 
 
 def batch_matmul(a: Tensor, b: Tensor) -> Tensor:

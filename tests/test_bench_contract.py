@@ -100,3 +100,15 @@ def test_batch_tensors_returns_the_four_tensors_the_step_probe_unpacks():
     out = training.batch_tensors([sample, sample])
     assert len(out) == 4 and all(isinstance(t, tensor.Tensor) for t in out)
     assert [t.shape for t in out] == [(2, 1, 8, 24)] * 2 + [(2, 1, 16, 48)] * 2
+
+
+def test_super_resolve_returns_both_images_and_both_full_masks():
+    # the serving workloads unpack four results and check both masks
+    params = model.init_model(np.random.default_rng(0), 2, 4)
+    lr = np.random.default_rng(1).random((2, 2, 1, 6, 10)).astype(np.float32)
+    with tensor.no_grad():
+        out = model.super_resolve(tensor.Tensor(lr[0]), tensor.Tensor(lr[1]), params)
+    assert isinstance(out, tuple) and len(out) == 4
+    sr_l, sr_r, m_lr, m_rl = out
+    assert sr_l.shape == sr_r.shape == (2, 1, 12, 20)
+    assert m_lr.shape == m_rl.shape == (2, 6, 10, 10)

@@ -62,6 +62,33 @@ class TestGenData:
         assert err.startswith("error: ") and "non-finite" in err, err
         assert not os.path.exists(os.path.join(out, "manifest.txt"))
 
+    def test_negative_disparity_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "g")
+        code = main([
+            "gen-data", "--out", out, "--disparity=-3,-1", "--size", "8x16", "--frames", "1,0,0",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "(-3.0, -1.0)" in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("size", ["0x16", "8x0"])
+    def test_empty_frame_exits_1_naming_the_extents(self, tmp_path, capsys, size):
+        out = str(tmp_path / "g")
+        code = main(["gen-data", "--out", out, "--size", size])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: frame extents {size} must be positive\n", err
+        assert not os.path.exists(out)
+
+    def test_negative_frame_count_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "g")
+        code = main(["gen-data", "--out", out, "--frames=-1,0,0", "--size", "8x16"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "(-1, 0, 0)" in err, err
+        assert not os.path.exists(out)
+
 
 class TestTrain:
     def test_desk_train_with_config_file_and_overrides(self, dataset, tmp_path, capsys):

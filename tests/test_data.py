@@ -336,6 +336,17 @@ class TestSynthStereo:
         with pytest.raises(ValueError, match="non-finite"):
             synth_stereo(0, 8, 16, bounds, scale=2)
 
+    @pytest.mark.parametrize("bounds", [(-3.0, -1.0), (-1.0, 2.0)], ids=["both", "min"])
+    def test_negative_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match=r"disparity range \(-.*negative"):
+            synth_stereo(0, 8, 16, bounds, scale=2)
+
+    @pytest.mark.parametrize("extents", [(0, 16), (8, 0), (-2, 16)])
+    def test_non_positive_extents_rejected(self, extents):
+        h, w = extents
+        with pytest.raises(ValueError, match=f"frame extents {h}x{w} must be positive"):
+            synth_stereo(0, h, w, (1.0, 2.0), scale=2)
+
     def test_pair_layout(self):
         sample, _ = synth_stereo(8, 16, 32, (1.0, 3.0), scale=2, channels=3)
         assert sample.lr.shape == (2, 3, 8, 16) and sample.hr.shape == (2, 3, 16, 32)
@@ -525,6 +536,18 @@ class TestManifest:
         entry = read_manifest(manifest)[0]
         field = load_disparity(data.disparity_sidecar_path(entry.left_path))
         np.testing.assert_array_equal(field, 2.0)
+
+    def test_negative_count_rejected_before_writing(self, tmp_path):
+        out = str(tmp_path / "ds")
+        with pytest.raises(ValueError, match=r"frame counts \(1, -1, 0\)"):
+            generate_dataset(out, 0, (1, -1, 0), 16, 32, (1.0, 2.0), 2)
+        assert not os.path.exists(out)
+
+    def test_bad_frame_arguments_rejected_before_writing(self, tmp_path):
+        out = str(tmp_path / "ds")
+        with pytest.raises(ValueError, match="negative"):
+            generate_dataset(out, 0, (1, 0, 0), 8, 16, (-3.0, -1.0), 2)
+        assert not os.path.exists(out)
 
     def test_malformed_manifest_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "m.txt")

@@ -1,5 +1,7 @@
 """Attention masks, warping, reconstruction, and the two-pass forward."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from stereosr.data import bicubic_resize, synth_stereo
 from stereosr.gradcheck import numerical_gradient
 from stereosr.model import (
     attention_masks,
-    attention_scores,
     batch_tensors,
     forward_full,
     init_model,
@@ -53,8 +54,8 @@ class TestAttentionMasks:
         params = tiny_model(rng, tie_qk=True, dtype=np.float64)
         x = Tensor(rng.random((1, 1, 5, 7)), dtype=np.float64)
         f_l, f_r = extract_features(x, Tensor(x.data.copy()), params.extractor)
-        s = attention_scores(f_l, f_r, params.attention).data
-        np.testing.assert_array_equal(s, s.transpose(0, 1, 3, 2))
+        m_lr, m_rl = attention_masks(f_l, f_r, params.attention)
+        np.testing.assert_array_equal(m_lr.data, m_rl.data)
 
     def test_constant_features_give_uniform_masks(self, rng):
         """Equal logits normalize to 1/W.
@@ -214,6 +215,33 @@ class TestForwardFull:
         assert np.array_equal(sr_r.data[0], bicubic_resize(lr_r.data[0], 12, 20))
         # zero features give uniform masks
         np.testing.assert_allclose(m_lr.data, 1.0 / 10.0, atol=1e-7)
+
+
+class TestServingMemory:
+    def test_super_resolve_peak_is_below_two_and_a_half_score_volumes(self, rng):
+        """Under no_grad the two returned masks dominate the peak: the scores
+        are worked in row blocks, never held as a third [H,W,W] array.
+
+        The measured call is the second: the first also builds and caches
+        the bicubic matrices of this frame size.
+        """
+        h, w = 16, 512
+        params = init_model(rng, 2, 8, zero_output=False)
+        left = Tensor(rng.random((1, 1, h, w)).astype(np.float32))
+        right = Tensor(rng.random((1, 1, h, w)).astype(np.float32))
+        with T.no_grad():
+            super_resolve(left, right, params)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = super_resolve(left, right, params)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        volume = h * w * w * 4
+        assert out[2].data.nbytes == volume
+        assert peak < 2.5 * volume, peak / volume
 
 
 class TestMasksPair:

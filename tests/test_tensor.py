@@ -330,6 +330,87 @@ class TestBatchMatmul:
         assert max(report.values()) < 1e-3
 
 
+def composite_attention(q, k, scale):
+    """The ops row_attention fuses: batch_matmul, mul by scale, softmax of S and S^T."""
+    s = T.mul(T.batch_matmul(q, k), scale)
+    m_rl = T.softmax_lastdim(s)
+    return T.softmax_lastdim(s.transpose(0, 2, 1)), m_rl
+
+
+_ROW_BYTES = 64 * 64 * 4
+_WIDE_W = int(np.sqrt(T._ATTENTION_BLOCK_BYTES / 4)) + 1
+
+
+class TestRowAttention:
+    # (rows, width, channels) of every attention the benchmark workloads run,
+    # then a row count that leaves a partial last block and a row of scores
+    # larger than the whole block budget
+    @pytest.mark.parametrize(
+        "rows,width,channels",
+        [
+            (64, 128, 32),
+            (48, 320, 8),
+            (8 * 16, 48, 8),
+            (8 * 32, 96, 8),
+            (T._ATTENTION_BLOCK_BYTES // _ROW_BYTES + 7, 64, 4),
+            (3, _WIDE_W, 4),
+        ],
+        ids=[
+            "sr-stream", "sr-wide", "train-desk-lr", "train-desk-sr", "ragged-block",
+            "row-over-budget",
+        ],
+    )
+    def test_masks_and_gradients_equal_the_composite(self, rng, rows, width, channels):
+        q0 = (3.0 * rng.normal(size=(rows, width, channels))).astype(np.float32)
+        k0 = (3.0 * rng.normal(size=(rows, channels, width))).astype(np.float32)
+        g_lr = rng.normal(size=(rows, width, width)).astype(np.float32)
+        g_rl = rng.normal(size=(rows, width, width)).astype(np.float32)
+        results = []
+        for attend in (T.row_attention, composite_attention):
+            q = Tensor(q0.copy(), requires_grad=True)
+            k = Tensor(k0.copy(), requires_grad=True)
+            m_lr, m_rl = attend(q, k, 1.0 / channels)
+            ((m_lr * g_lr).sum() + (m_rl * g_rl).sum()).backward()
+            results.append((m_lr.data, m_rl.data, q.grad, k.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_float64(self, rng):
+        q = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, dtype=np.float64)
+        k = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64)
+        g_lr, g_rl = rng.normal(size=(2, 2, 5, 5))
+
+        def loss():
+            m_lr, m_rl = T.row_attention(q, k, 0.7)
+            return (m_lr * g_lr).sum() + (m_rl * g_rl).sum()
+
+        report = check_gradients(loss, [("q", q), ("k", k)], elementwise=True)
+        assert max(report.values()) < 1e-5
+
+    def test_no_grad_peak_is_the_two_masks(self, rng):
+        q = Tensor(rng.normal(size=(16, 256, 8)), dtype=np.float32)
+        k = Tensor(rng.normal(size=(16, 8, 256)), dtype=np.float32)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                m_lr, m_rl = T.row_attention(q, k, 0.125)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak <= m_lr.data.nbytes + m_rl.data.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize(
+        "q_shape,k_shape",
+        [((2, 5, 3), (2, 5, 3)), ((2, 5, 3), (3, 3, 5)), ((5, 3), (3, 5)), ((2, 5, 3), (2, 3, 4))],
+    )
+    def test_shape_mismatch_rejected(self, q_shape, k_shape):
+        with pytest.raises(ValueError, match="row_attention expects"):
+            T.row_attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), 1.0)
+
+
 def upsample_1d_oracle(vec, factor):
     """Independent 1-D linear interpolation (align_corners=False)."""
     n = len(vec)
