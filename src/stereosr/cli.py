@@ -174,6 +174,8 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_dump_masks(args) -> int:
+    if not np.isfinite(args.gain):
+        raise ValueError(f"--gain must be finite, got {args.gain}")
     params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
     m_lr, m_rl = masks_pair(params, _load_pair(args, params))
     disp_left = mask_argmax_disparity(m_rl, "rl")
@@ -186,6 +188,9 @@ def _cmd_dump_masks(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--tolerance", args.tolerance)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
     patch_h, patch_w = _parse_pair(args.patch, int, "--patch")
     report = full_model_gradcheck(
         scale=args.scale,

@@ -30,6 +30,8 @@ def numerical_gradient(
 
     The loss is evaluated without graph recording: only its value is read.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"finite-difference step must be finite and positive, got {eps}")
     flat = param.data.reshape(-1)
     grad = np.zeros_like(flat)
     with no_grad():

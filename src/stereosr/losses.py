@@ -10,6 +10,11 @@ where dc compares trilinearly upsampled LR masks against the SR-scale
 masks, photo scores mask-warped cross-eye reconstruction, smoothness
 penalizes mask variation across rows and along the (column, match)
 diagonal, and cycle drives round-trip warps toward the identity.
+
+Every mask term takes a mask pair as one [2,N,H,W,W] tensor and works
+both directions in one call: index 0 is M_lr, which warps the left eye
+onto the right view, and index 1 is M_rl, which warps the right eye onto
+the left view (``model`` module docstring).
 """
 
 from __future__ import annotations
@@ -59,72 +64,74 @@ def mse_loss(sr_left: Tensor, sr_right: Tensor, hr_left: Tensor, hr_right: Tenso
     return ((sr_left - hr_left) ** 2).mean() + ((sr_right - hr_right) ** 2).mean()
 
 
-def photometric_loss(i_left: Tensor, i_right: Tensor, m_rl: Tensor, m_lr: Tensor) -> Tensor:
-    """Mean L1 error of each eye against the mask-warped other eye."""
-    left_hat = warp(m_rl, i_right)
-    right_hat = warp(m_lr, i_left)
-    return (i_left - left_hat).abs().mean() + (i_right - right_hat).abs().mean()
+def _check_pair(masks: Tensor, name: str) -> None:
+    if masks.ndim != 5 or masks.shape[0] != 2 or masks.shape[-1] != masks.shape[-2]:
+        raise ValueError(f"{name} needs a [2,N,H,W,W] mask pair, got {masks.shape}")
 
 
-def _mean_abs(diff: Tensor) -> Tensor:
+def _direction_means(x: Tensor) -> Tensor:
+    """[2] means of x's first and second half along its leading axis."""
     # a 1-extent axis leaves nothing to difference; that term is zero
-    if diff.size == 0:
-        return Tensor(np.zeros((), dtype=diff.dtype))
-    return diff.abs().mean()
+    if x.size == 0:
+        return Tensor(np.zeros(2, dtype=x.dtype))
+    return x.reshape(2, -1).mean(axis=1)
 
 
-def smoothness_loss(mask: Tensor, diagonal: bool = True) -> Tensor:
+def photometric_loss(i_left: Tensor, i_right: Tensor, masks: Tensor) -> Tensor:
+    """Mean L1 error of each eye against the mask-warped other eye.
+
+    One warp of the stacked eyes: M_lr carries the left eye to the right
+    view and M_rl the right eye to the left view.
+    """
+    _check_pair(masks, "photometric_loss")
+    _, n, h, w, _ = masks.shape
+    warped = warp(masks.reshape(2 * n, h, w, w), T.concat([i_left, i_right]))
+    return _direction_means((T.concat([i_right, i_left]) - warped).abs()).sum()
+
+
+def smoothness_loss(masks: Tensor, diagonal: bool = True) -> Tensor:
     """Mean absolute mask variation across rows plus a second difference.
 
+    Returns a [2] tensor, one value per direction (smooth_lr, smooth_rl).
     The second term runs along the (column, match) diagonal by default;
     ``diagonal=False`` swaps in a plain difference along the match axis.
-    Out-of-range neighbors are dropped. Axes are (n, i, j, k) with i the
-    image row and (j, k) the square attention matrix.
+    Out-of-range neighbors are dropped. Axes are (direction, n, i, j, k)
+    with i the image row and (j, k) the square attention matrix.
     """
-    if mask.ndim != 4:
-        raise ValueError(f"smoothness_loss needs an [N,H,W,W] mask, got {mask.shape}")
-    row_diff = mask[:, :-1, :, :] - mask[:, 1:, :, :]
+    _check_pair(masks, "smoothness_loss")
+    row_diff = masks[:, :, :-1, :, :] - masks[:, :, 1:, :, :]
     if diagonal:
-        second = mask[:, :, :-1, :-1] - mask[:, :, 1:, 1:]
+        second = masks[:, :, :, :-1, :-1] - masks[:, :, :, 1:, 1:]
     else:
-        second = mask[:, :, :, :-1] - mask[:, :, :, 1:]
-    return _mean_abs(row_diff) + _mean_abs(second)
+        second = masks[:, :, :, :, :-1] - masks[:, :, :, :, 1:]
+    return _direction_means(row_diff.abs()) + _direction_means(second.abs())
 
 
-def cycle_loss(m_lr: Tensor, m_rl: Tensor) -> Tensor:
-    """Mean L1 distance of both round-trip row products from the identity."""
-    if m_lr.shape != m_rl.shape:
-        raise ValueError(f"mask shapes differ: {m_lr.shape} vs {m_rl.shape}")
-    if m_lr.ndim != 4:
-        raise ValueError(f"cycle_loss needs [N,H,W,W] masks, got {m_lr.shape}")
-    n, h, w, _ = m_lr.shape
-    lr_rows = m_lr.reshape(n * h, w, w)
-    rl_rows = m_rl.reshape(n * h, w, w)
-    eye = Tensor(np.eye(w, dtype=m_lr.dtype))
-    forward = T.batch_matmul(lr_rows, rl_rows) - eye
-    backward = T.batch_matmul(rl_rows, lr_rows) - eye
-    return forward.abs().mean() + backward.abs().mean()
+def cycle_loss(masks: Tensor) -> Tensor:
+    """Mean L1 distance of both round-trip row products from the identity.
+
+    One batched product of the pair against its swap: M_lr M_rl and M_rl M_lr.
+    """
+    _check_pair(masks, "cycle_loss")
+    _, n, h, w, _ = masks.shape
+    rows = masks.reshape(2 * n * h, w, w)
+    swapped = masks[::-1].reshape(2 * n * h, w, w)
+    eye = Tensor(np.eye(w, dtype=masks.dtype))
+    return _direction_means((T.batch_matmul(rows, swapped) - eye).abs()).sum()
 
 
-def _upsample_renorm(mask: Tensor, s: int) -> Tensor:
-    """Trilinear upsample of a mask volume, rows rescaled back to sum 1."""
-    up = T.trilinear_upsample(mask, s)
-    return up / up.sum(axis=-1, keepdims=True)
-
-
-def disparity_consistency_loss(
-    m_lr_lr: Tensor, m_rl_lr: Tensor, m_lr_sr: Tensor, m_rl_sr: Tensor, s: int
-) -> Tensor:
-    """Mean squared gap between upsampled LR masks and the SR masks."""
-    for lr_m, sr_m in ((m_lr_lr, m_lr_sr), (m_rl_lr, m_rl_sr)):
-        expect = tuple(lr_m.shape[:-3]) + tuple(n * s for n in lr_m.shape[-3:])
-        if tuple(sr_m.shape) != expect:
-            raise ValueError(
-                f"SR mask shape {sr_m.shape} does not match upsampled LR {expect}"
-            )
-    d_lr = _upsample_renorm(m_lr_lr, s) - m_lr_sr
-    d_rl = _upsample_renorm(m_rl_lr, s) - m_rl_sr
-    return (d_lr**2).mean() + (d_rl**2).mean()
+def disparity_consistency_loss(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
+    """Mean squared gap between the SR masks and the trilinearly upsampled LR
+    masks, whose rows are rescaled back to sum 1."""
+    _check_pair(masks_lr, "disparity_consistency_loss")
+    expect = tuple(masks_lr.shape[:-3]) + tuple(n * s for n in masks_lr.shape[-3:])
+    if tuple(masks_sr.shape) != expect:
+        raise ValueError(
+            f"SR mask shape {masks_sr.shape} does not match upsampled LR {expect}"
+        )
+    up = T.trilinear_upsample(masks_lr, s)
+    gap = up / up.sum(axis=-1, keepdims=True) - masks_sr
+    return _direction_means(gap**2).sum()
 
 
 def total_loss(
@@ -139,18 +146,8 @@ def total_loss(
     """Combine the components; returns (scalar tensor, LossBreakdown)."""
     apam = photo + smooth_lr + smooth_rl + cycle
     total = mse + alpha * (dc + apam)
-    breakdown = LossBreakdown(
-        total=total.item(),
-        mse=mse.item(),
-        dc=dc.item(),
-        apam=apam.item(),
-        photo=photo.item(),
-        smooth_lr=smooth_lr.item(),
-        smooth_rl=smooth_rl.item(),
-        cycle=cycle.item(),
-        alpha=alpha,
-    )
-    return total, breakdown
+    values = (total, mse, dc, apam, photo, smooth_lr, smooth_rl, cycle)
+    return total, LossBreakdown(*(v.item() for v in values), alpha=alpha)
 
 
 def compute_losses(
@@ -165,11 +162,8 @@ def compute_losses(
 ):
     """Full objective for one forward pass; returns (total, LossBreakdown)."""
     mse = mse_loss(outputs.sr_left, outputs.sr_right, hr_left, hr_right)
-    dc = disparity_consistency_loss(
-        outputs.m_lr_lr, outputs.m_rl_lr, outputs.m_lr_sr, outputs.m_rl_sr, scale
-    )
-    photo = photometric_loss(lr_left, lr_right, outputs.m_rl_lr, outputs.m_lr_lr)
-    smooth_lr = smoothness_loss(outputs.m_lr_lr, smooth_diagonal)
-    smooth_rl = smoothness_loss(outputs.m_rl_lr, smooth_diagonal)
-    cyc = cycle_loss(outputs.m_lr_lr, outputs.m_rl_lr)
-    return total_loss(mse, dc, photo, smooth_lr, smooth_rl, cyc, alpha)
+    dc = disparity_consistency_loss(outputs.masks_lr, outputs.masks_sr, scale)
+    photo = photometric_loss(lr_left, lr_right, outputs.masks_lr)
+    smooth = smoothness_loss(outputs.masks_lr, smooth_diagonal)
+    cyc = cycle_loss(outputs.masks_lr)
+    return total_loss(mse, dc, photo, smooth[0], smooth[1], cyc, alpha)

@@ -3,12 +3,15 @@
 Attention scores are per-row dot products between query features of one
 eye and key features of the other, computed with rows as the matmul batch
 (``tensor.row_attention``, a block of rows at a time). Softmax over the
-last axis turns each score matrix into a pair of disparity masks:
+last axis turns each score matrix into a pair of disparity masks, carried
+as one [2,N,H,W,W] tensor:
 
-  * ``M_rl[n, i, a, b]``: weight of right column b when reconstructing
-    left column a on row i (softmax over b, warps right -> left).
-  * ``M_lr[n, i, b, a]``: the transposed scores normalized over a
-    (warps left -> right).
+  * index 0, ``M_lr[n, i, b, a]``: weight of left column a when
+    reconstructing right column b on row i (the transposed scores
+    normalized over a). It warps the left eye onto the right view.
+  * index 1, ``M_rl[n, i, a, b]``: weight of right column b when
+    reconstructing left column a on row i (softmax over b). It warps the
+    right eye onto the left view.
 
 Before the dot products, one shared dilated-mixing block widens each
 eye's features so correspondences draw on rows near the epipolar line
@@ -122,17 +125,15 @@ def _rows_as_batch(x: Tensor) -> Tensor:
     return x.transpose(0, 2, 3, 1).reshape(n * h, w, c)
 
 
-def attention_masks(
-    f_left: Tensor, f_right: Tensor, params: AttentionParams
-) -> Tuple[Tensor, Tensor]:
-    """Bidirectional disparity masks, each [N,H,W,W] with unit row slices.
+def attention_masks(f_left: Tensor, f_right: Tensor, params: AttentionParams) -> Tensor:
+    """Both disparity masks as one [2,N,H,W,W] tensor with unit row slices.
 
     The per-row scores are S[n,i,a,b] = <query(left)[i,a], key(right)[i,b]> / C.
     The 1/C normalization keeps the softmax out of saturation at init;
     raw dot products over C channels otherwise start with logit spreads
     of several units, freezing the masks on random peaks.
 
-    Returns (M_lr, M_rl): M_lr warps left->right, M_rl warps right->left.
+    Index 0 is M_lr (warps left->right), index 1 is M_rl (warps right->left).
     """
     if f_left.shape != f_right.shape:
         raise ValueError(f"feature shapes differ: {f_left.shape} vs {f_right.shape}")
@@ -143,8 +144,7 @@ def attention_masks(
     n, c, h, w = q.shape
     q_rows = _rows_as_batch(q)  # [N*H, W, C]
     k_rows = k.transpose(0, 2, 1, 3).reshape(n * h, c, w)  # [N*H, C, W]
-    m_lr, m_rl = T.row_attention(q_rows, k_rows, 1.0 / c)
-    return m_lr.reshape(n, h, w, w), m_rl.reshape(n, h, w, w)
+    return T.row_attention(q_rows, k_rows, 1.0 / c).reshape(2, n, h, w, w)
 
 
 def warp(mask: Tensor, image: Tensor) -> Tensor:
@@ -195,22 +195,30 @@ def reconstruct_sr(
     return out + Tensor(up, dtype=lr_image.dtype)
 
 
+def _lr_pass(
+    lr_left: Tensor, lr_right: Tensor, params: ModelParams
+) -> Tuple[Tensor, Tensor, Tensor]:
+    """SR images for both eyes plus the stacked [2,N,h,w,w] LR mask pair."""
+    f_left, f_right = extract_features(lr_left, lr_right, params.extractor)
+    masks = attention_masks(f_left, f_right, params.attention)
+    sr_left = reconstruct_sr(
+        f_left, warp(masks[1], f_right), lr_left, params.attention, params.scale
+    )
+    sr_right = reconstruct_sr(
+        f_right, warp(masks[0], f_left), lr_right, params.attention, params.scale
+    )
+    return sr_left, sr_right, masks
+
+
 def super_resolve(
     lr_left: Tensor, lr_right: Tensor, params: ModelParams
 ) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
     """One LR pass: SR images for both eyes plus the LR mask pair.
 
-    Returns (sr_left, sr_right, m_lr, m_rl).
+    Returns (sr_left, sr_right, m_lr, m_rl), each mask [N,h,w,w].
     """
-    f_left, f_right = extract_features(lr_left, lr_right, params.extractor)
-    m_lr, m_rl = attention_masks(f_left, f_right, params.attention)
-    sr_left = reconstruct_sr(
-        f_left, warp(m_rl, f_right), lr_left, params.attention, params.scale
-    )
-    sr_right = reconstruct_sr(
-        f_right, warp(m_lr, f_left), lr_right, params.attention, params.scale
-    )
-    return sr_left, sr_right, m_lr, m_rl
+    sr_left, sr_right, masks = _lr_pass(lr_left, lr_right, params)
+    return sr_left, sr_right, masks[0], masks[1]
 
 
 def sr_pair(params: ModelParams, lr: np.ndarray) -> np.ndarray:
@@ -220,22 +228,20 @@ def sr_pair(params: ModelParams, lr: np.ndarray) -> np.ndarray:
     return np.concatenate([sr_left.data, sr_right.data])
 
 
-def masks_pair(params: ModelParams, lr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """LR masks of one [2,C,h,w] pair without a graph; returns (m_lr, m_rl), each [h,w,w]."""
+def masks_pair(params: ModelParams, lr: np.ndarray) -> np.ndarray:
+    """LR masks of one [2,C,h,w] pair without a graph: [2,h,w,w], m_lr then m_rl."""
     with T.no_grad():
         f_left, f_right = extract_features(Tensor(lr[:1]), Tensor(lr[1:]), params.extractor)
-        m_lr, m_rl = attention_masks(f_left, f_right, params.attention)
-    return m_lr.data[0], m_rl.data[0]
+        masks = attention_masks(f_left, f_right, params.attention)
+    return masks.data[:, 0]
 
 
 @dataclass
 class ForwardOutputs:
     sr_left: Tensor
     sr_right: Tensor
-    m_lr_lr: Tensor  # LR-scale left->right mask
-    m_rl_lr: Tensor  # LR-scale right->left mask
-    m_lr_sr: Tensor  # SR-scale left->right mask
-    m_rl_sr: Tensor  # SR-scale right->left mask
+    masks_lr: Tensor  # [2,N,h,w,w] LR-scale mask pair
+    masks_sr: Tensor  # [2,N,H,W,W] SR-scale mask pair
 
 
 def forward_full(lr_left: Tensor, lr_right: Tensor, params: ModelParams) -> ForwardOutputs:
@@ -245,10 +251,10 @@ def forward_full(lr_left: Tensor, lr_right: Tensor, params: ModelParams) -> Forw
     the freshly super-resolved pair, so gradients reach the parameters
     through both scales.
     """
-    sr_left, sr_right, m_lr_lr, m_rl_lr = super_resolve(lr_left, lr_right, params)
+    sr_left, sr_right, masks_lr = _lr_pass(lr_left, lr_right, params)
     f2_left, f2_right = extract_features(sr_left, sr_right, params.extractor)
-    m_lr_sr, m_rl_sr = attention_masks(f2_left, f2_right, params.attention)
-    return ForwardOutputs(sr_left, sr_right, m_lr_lr, m_rl_lr, m_lr_sr, m_rl_sr)
+    masks_sr = attention_masks(f2_left, f2_right, params.attention)
+    return ForwardOutputs(sr_left, sr_right, masks_lr, masks_sr)
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,11 @@ Conventions:
   * the graph is rebuilt on every forward pass (define-by-run).
   * an op allocates only its output; state needed only by the backward
     pass is built inside the vjp from the parents' data.
-  * ``row_attention`` works its rows in blocks and writes both softmax
-    directions into one buffer, so attention holds its two [B,W,W] masks
-    and never a full score volume. A served pair therefore holds two full
-    arrays, not three; the masks themselves remain full-size because
-    ``model.super_resolve`` returns them.
+  * ``row_attention`` works its rows in blocks and returns one [2,B,W,W]
+    tensor holding both softmax directions, so attention holds its two
+    masks and never a full score volume. A served pair therefore holds two
+    full [B,W,W] arrays, not three; the masks themselves remain full-size
+    because ``model.super_resolve`` returns them.
 """
 
 from __future__ import annotations
@@ -143,16 +143,17 @@ class Tensor:
         topo = _toposort(self)
         grads = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
+            if id(node) not in grads:
                 continue
             if node._vjp is None:
+                g = grads.pop(id(node))
                 if node.requires_grad:
                     if node.grad is None:
                         node.grad = np.zeros_like(node.data)
                     node.grad += g
                 continue
-            parent_grads = node._vjp(g)
+            # no reference is kept here, so a vjp frees g once done with it
+            parent_grads = node._vjp(grads.pop(id(node)))
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
@@ -173,9 +174,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -183,9 +181,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __pow__(self, p):
         return power(self, p)
@@ -306,15 +301,14 @@ def div(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(g / b_data, a.shape)
-        gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape)
-        return ga, gb
+        # -g * a / b^2 worked in one temporary, reduced before ga exists
+        gb = -g
+        gb *= a_data
+        gb /= b_data * b_data
+        gb = _unbroadcast(gb, b.shape)
+        return _unbroadcast(g / b_data, a.shape), gb
 
     return _make(out, (a, b), vjp, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def power(a: Tensor, p) -> Tensor:
@@ -409,7 +403,8 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    out = a.data[idx]
+    # copied only when not C-contiguous; a scalar stays 0-d
+    out = np.asarray(a.data[idx], order="C")
     in_shape = a.shape
 
     def vjp(g):
@@ -417,7 +412,7 @@ def take(a: Tensor, idx) -> Tensor:
         full[idx] += g
         return (full,)
 
-    return _make(np.ascontiguousarray(out), (a,), vjp, "getitem")
+    return _make(out, (a,), vjp, "getitem")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -466,15 +461,15 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 _ATTENTION_BLOCK_BYTES = 1 << 20
 
 
-def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float):
+def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     """Both softmax directions of the per-row scores S = scale * q_rows @ k_rows.
 
-    Takes q_rows [B,W,C] and k_rows [B,C,W]; returns (m_lr, m_rl), each
-    [B,W,W]: m_rl = softmax(S) and m_lr = softmax(S^T), both over the last
-    axis. Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of
-    S and of S^T bit for bit, gradients included, but the rows are worked in
-    blocks of ``_ATTENTION_BLOCK_BYTES``: both masks are written in place into
-    one [2,B,W,W] buffer and no full score volume is ever held.
+    Takes q_rows [B,W,C] and k_rows [B,C,W]; returns one [2,B,W,W] tensor:
+    index 0 is softmax(S^T), index 1 is softmax(S), both over the last axis.
+    Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of S and
+    of S^T bit for bit, gradients included, but the rows are worked in
+    blocks of ``_ATTENTION_BLOCK_BYTES``: both directions are written in
+    place into the output buffer and no full score volume is ever held.
     """
     if (
         q_rows.ndim != 3
@@ -499,22 +494,15 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float):
         _softmax_(s)
         _softmax_(m_lr[rows])
 
-    def scores_vjp(g):
-        g = g * scale
-        return np.matmul(g, k.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), g)
+    def vjp(g):
+        # the score gradient g_rl + g_lr^T, summed in place so that no more
+        # than two [B,W,W] arrays exist besides g
+        gs = _softmax_grad(g[1], m_rl)
+        gs += _softmax_grad(g[0], m_lr).transpose(0, 2, 1)
+        gs *= scale
+        return np.matmul(gs, k.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), gs)
 
-    # the scores node holds no data: the engine sums both masks' gradients
-    # into it (g_lr^T + g_rl) before its vjp runs; m_lr is made last, so its
-    # gradient is the first term, as when S^T was a transpose node
-    scores = _make(np.empty(0, dtype=buf.dtype), (q_rows, k_rows), scores_vjp, "row_attention")
-    out_rl = _make(m_rl, (scores,), lambda g: (_softmax_grad(g, m_rl),), "row_attention")
-    out_lr = _make(
-        m_lr,
-        (scores,),
-        lambda g: (_softmax_grad(g, m_lr).transpose(0, 2, 1),),
-        "row_attention",
-    )
-    return out_lr, out_rl
+    return _make(buf, (q_rows, k_rows), vjp, "row_attention")
 
 
 def batch_matmul(a: Tensor, b: Tensor) -> Tensor:

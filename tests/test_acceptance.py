@@ -84,8 +84,8 @@ def test_mask_normalization_after_forward():
         adam_step(named, adam, 1e-3)
     out = forward_full(lr_l, lr_r, params)
     frac_ok = []
-    for m in (out.m_lr_lr, out.m_rl_lr, out.m_lr_sr, out.m_rl_sr):
-        sums = m.data.sum(-1)
+    for m in (*out.masks_lr.data, *out.masks_sr.data):
+        sums = m.sum(-1)
         frac_ok.append(float(np.mean(np.abs(sums - 1.0) <= 1e-5)))
     ok = all(f == 1.0 for f in frac_ok)
     _report("mask-normalization", ok, f"normalized slice fractions {frac_ok}")
@@ -143,14 +143,14 @@ def _train_constant_disparity(d: int, seed: int, max_steps: int = 2000):
             if step >= 500 and step % 100 == 0:
                 with no_grad():
                     pout = forward_full(pl, pr, params)
-                rate = _recovery_rate(pout.m_rl_lr.data[0], truth_lr)
+                rate = _recovery_rate(pout.masks_lr.data[1, 0], truth_lr)
                 if rate >= 0.9:
                     return rate, step
             if step >= max_steps:
                 break
     with no_grad():
         pout = forward_full(pl, pr, params)
-    return _recovery_rate(pout.m_rl_lr.data[0], truth_lr), step
+    return _recovery_rate(pout.masks_lr.data[1, 0], truth_lr), step
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -208,7 +208,8 @@ def _heldout_photometric(params, frames) -> float:
         for frame in frames:
             lr_l, lr_r, _, _ = batch_tensors([frame])
             _, _, m_lr, m_rl = super_resolve(lr_l, lr_r, params)
-            vals.append(photometric_loss(lr_l, lr_r, m_rl, m_lr).item())
+            masks = Tensor(np.stack([m_lr.data, m_rl.data]))
+            vals.append(photometric_loss(lr_l, lr_r, masks).item())
     return float(np.mean(vals))
 
 
@@ -263,12 +264,11 @@ def test_degenerate_equivalences():
     ) and np.array_equal(sr_r.data[0], bicubic_resize(lr_r.data[0], 24, 48))
 
     img = np.random.default_rng(4).random((1, 1, 6, 10))
-    eye = np.broadcast_to(np.eye(10), (1, 6, 10, 10)).copy()
+    eye = np.broadcast_to(np.eye(10), (2, 1, 6, 10, 10)).copy()
     photo = photometric_loss(
         Tensor(img, dtype=np.float64),
         Tensor(img.copy(), dtype=np.float64),
         Tensor(eye, dtype=np.float64),
-        Tensor(eye.copy(), dtype=np.float64),
     ).item()
 
     def shift_mask(h, w, s):

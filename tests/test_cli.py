@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import checkpoint_sweep_positions, corrupted
+from stereosr import cli
 from stereosr.cli import main
 from stereosr.data import ManifestEntry, generate_dataset, synth_stereo, write_manifest
 from stereosr.imageio import load_image, save_image
@@ -423,6 +424,24 @@ class TestDumpMasks:
         img = load_image(out_l)
         assert img.shape == (1, 32, 64)
 
+    @pytest.mark.parametrize("gain", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_exits_1_and_writes_nothing(
+        self, dataset, checkpoint, tmp_path, capsys, gain
+    ):
+        root, _ = dataset
+        out_l = str(tmp_path / "disp_L.pgm")
+        out_r = str(tmp_path / "disp_R.pgm")
+        code = main([
+            "dump-masks", "--checkpoint", checkpoint,
+            "--left", os.path.join(root, "val_000_L.pgm"),
+            "--right", os.path.join(root, "val_000_R.pgm"),
+            "--out-left", out_l, "--out-right", out_r, f"--gain={gain}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--gain" in err, err
+        assert not os.path.exists(out_l) and not os.path.exists(out_r)
+
 
 class TestGradcheckCommand:
     def test_tiny_gradcheck_passes(self, capsys):
@@ -441,6 +460,26 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "channels" in err, err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "0"), ("--eps", "-1e-4"), ("--eps", "nan"), ("--eps", "inf"),
+            ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+        ],
+    )
+    def test_bad_step_or_tolerance_exits_1_before_any_model(
+        self, capsys, monkeypatch, flag, value
+    ):
+        def no_check(**kwargs):
+            raise AssertionError("the gradient check ran")
+
+        monkeypatch.setattr(cli, "full_model_gradcheck", no_check)
+        code = main(["gradcheck", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and flag in err, err
 
 
 class TestUsage:

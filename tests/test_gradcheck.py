@@ -49,3 +49,10 @@ def test_wrong_vjp_is_reported(monkeypatch, elementwise):
         lambda: T.absolute(x).sum(), [("x", x)], eps=1e-4, elementwise=elementwise
     )
     assert report["x"] == pytest.approx(0.01 / 1.01, rel=1e-3)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-4, float("nan"), float("inf")])
+def test_bad_step_rejected(eps):
+    x = Tensor(np.array([0.3]), requires_grad=True, dtype=np.float64)
+    with pytest.raises(ValueError, match="finite and positive"):
+        numerical_gradient(lambda: (x * x).sum(), x, eps=eps)

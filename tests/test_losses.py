@@ -90,16 +90,15 @@ class TestMseLoss:
 
 class TestDisparityConsistency:
     def test_zero_for_identical_masks_at_s1(self, rng):
-        m = Tensor(np.abs(rng.random((1, 3, 4, 4))), dtype=np.float64)
+        m = Tensor(np.abs(rng.random((2, 1, 3, 4, 4))), dtype=np.float64)
         m = m / m.data.sum(-1, keepdims=True)
-        same = Tensor(m.data.copy(), dtype=np.float64)
-        loss = disparity_consistency_loss(m, m, same, Tensor(m.data.copy(), dtype=np.float64), 1)
+        loss = disparity_consistency_loss(m, Tensor(m.data.copy(), dtype=np.float64), 1)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_masks_zero_at_s2(self):
-        lr = Tensor(np.full((1, 2, 3, 3), 1.0 / 3.0), dtype=np.float64)
-        sr = Tensor(np.full((1, 4, 6, 6), 1.0 / 6.0), dtype=np.float64)
-        loss = disparity_consistency_loss(lr, lr, sr, sr, 2)
+        lr = Tensor(np.full((2, 1, 2, 3, 3), 1.0 / 3.0), dtype=np.float64)
+        sr = Tensor(np.full((2, 1, 4, 6, 6), 1.0 / 6.0), dtype=np.float64)
+        loss = disparity_consistency_loss(lr, sr, 2)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_one_hot_vs_uniform_matches_oracle(self):
@@ -115,30 +114,27 @@ class TestDisparityConsistency:
         want = np.mean((up - sr[0]) ** 2) * 2  # both directions identical here
 
         got = disparity_consistency_loss(
-            Tensor(lr, dtype=np.float64),
-            Tensor(lr.copy(), dtype=np.float64),
-            Tensor(sr, dtype=np.float64),
-            Tensor(sr.copy(), dtype=np.float64),
+            Tensor(np.stack([lr, lr]), dtype=np.float64),
+            Tensor(np.stack([sr, sr]), dtype=np.float64),
             s,
         )
         assert got.item() == pytest.approx(want, abs=1e-5)
 
     def test_extent_mismatch(self, rng):
-        lr = Tensor(np.zeros((1, 2, 3, 3)))
-        sr_bad = Tensor(np.zeros((1, 4, 5, 5)))
+        lr = Tensor(np.zeros((2, 1, 2, 3, 3)))
+        sr_bad = Tensor(np.zeros((2, 1, 4, 5, 5)))
         with pytest.raises(ValueError, match="does not match"):
-            disparity_consistency_loss(lr, lr, sr_bad, sr_bad, 2)
+            disparity_consistency_loss(lr, sr_bad, 2)
 
 
 class TestPhotometric:
     def test_identical_eyes_identity_masks(self, rng):
         img = rng.random((1, 1, 4, 6))
-        eye = np.broadcast_to(np.eye(6), (1, 4, 6, 6)).copy()
+        eye = np.broadcast_to(np.eye(6), (2, 1, 4, 6, 6)).copy()
         loss = photometric_loss(
             Tensor(img, dtype=np.float64),
             Tensor(img.copy(), dtype=np.float64),
             Tensor(eye, dtype=np.float64),
-            Tensor(eye.copy(), dtype=np.float64),
         )
         assert loss.item() == 0.0
 
@@ -168,18 +164,19 @@ class TestPhotometric:
             np.abs(ir[0] - warp_oracle(m_lr[0], il[0]))
         )
         got = photometric_loss(
-            *(Tensor(v, dtype=np.float64) for v in (il, ir, m_rl, m_lr))
+            *(Tensor(v, dtype=np.float64) for v in (il, ir, np.stack([m_lr, m_rl])))
         )
         assert got.item() == pytest.approx(want, abs=1e-6)
 
 
 class TestSmoothness:
     def test_constant_mask_zero(self):
-        assert smoothness_loss(Tensor(np.full((1, 3, 4, 4), 0.25))).item() == 0.0
+        loss = smoothness_loss(Tensor(np.full((2, 1, 3, 4, 4), 0.25)))
+        np.testing.assert_array_equal(loss.data, [0.0, 0.0])
 
     def test_uniform_mask_zero(self):
-        m = Tensor(np.full((1, 2, 5, 5), 0.2))
-        assert smoothness_loss(m).item() == 0.0
+        m = Tensor(np.full((2, 1, 2, 5, 5), 0.2))
+        np.testing.assert_array_equal(smoothness_loss(m).data, [0.0, 0.0])
 
     def test_toeplitz_slices_hand_enumeration(self):
         """Diagonal-constant slices zero the second term; row variation feeds the first.
@@ -191,27 +188,27 @@ class TestSmoothness:
         m = np.zeros((1, 2, 3, 3))
         m[0, 0] = np.eye(3)
         m[0, 1] = np.diag(np.ones(2), k=-1)
-        loss = smoothness_loss(Tensor(m, dtype=np.float64))
-        assert loss.item() == pytest.approx(5.0 / 9.0, abs=1e-9)
+        loss = smoothness_loss(Tensor(np.stack([m, m]), dtype=np.float64))
+        np.testing.assert_allclose(loss.data, 5.0 / 9.0, atol=1e-9)
 
     def test_alternative_second_term(self):
         """The non-diagonal variant differences along the match axis only."""
         m = np.zeros((1, 1, 2, 2))
         m[0, 0, 0] = [1.0, 0.0]
         m[0, 0, 1] = [1.0, 0.0]
-        loss = smoothness_loss(Tensor(m, dtype=np.float64), diagonal=False)
+        loss = smoothness_loss(Tensor(np.stack([m, m]), dtype=np.float64), diagonal=False)
         # term1 = 0 (rows identical along i... only one i), term2 = |1-0| twice / 2
-        assert loss.item() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(loss.data, 1.0, atol=1e-9)
 
     def test_unbatched_mask_rejected(self):
-        with pytest.raises(ValueError, match=r"\[N,H,W,W\]"):
+        with pytest.raises(ValueError, match=r"\[2,N,H,W,W\]"):
             smoothness_loss(Tensor(np.full((3, 4, 4), 0.25)))
 
 
 class TestCycle:
     def test_identity_masks_zero(self):
-        eye = np.broadcast_to(np.eye(5), (1, 3, 5, 5)).copy()
-        loss = cycle_loss(Tensor(eye, dtype=np.float64), Tensor(eye.copy(), dtype=np.float64))
+        eye = np.broadcast_to(np.eye(5), (2, 1, 3, 5, 5)).copy()
+        loss = cycle_loss(Tensor(eye, dtype=np.float64))
         assert loss.item() == 0.0
 
     def test_inverse_shift_masks_zero_on_interior(self):
@@ -224,7 +221,7 @@ class TestCycle:
     def test_uniform_masks_w4_derived_value(self):
         """Per-row |uniform - I| sums to 6; mean-reduced both ways -> 0.75."""
         m = np.full((1, 2, 4, 4), 0.25)
-        got = cycle_loss(Tensor(m, dtype=np.float64), Tensor(m.copy(), dtype=np.float64))
+        got = cycle_loss(Tensor(np.stack([m, m]), dtype=np.float64))
         # direct oracle
         prod = np.matmul(m, m)
         want = 2 * np.mean(np.abs(prod - np.eye(4)))
@@ -232,13 +229,13 @@ class TestCycle:
         assert got.item() == pytest.approx(want, abs=1e-9)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="differ"):
-            cycle_loss(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((2, 4, 4))))
+        with pytest.raises(ValueError, match="mask pair"):
+            cycle_loss(Tensor(np.zeros((2, 1, 2, 3, 4))))
 
     def test_unbatched_masks_rejected(self):
         m = np.full((2, 4, 4), 0.25)
-        with pytest.raises(ValueError, match=r"\[N,H,W,W\]"):
-            cycle_loss(Tensor(m), Tensor(m.copy()))
+        with pytest.raises(ValueError, match=r"\[2,N,H,W,W\]"):
+            cycle_loss(Tensor(m))
 
 
 class TestTotalLoss:
@@ -303,3 +300,58 @@ class TestFullObjective:
         for name, p in named_parameters(params):
             got = p.grad if p.grad is not None else np.zeros_like(p.data)
             assert np.array_equal(grads_alpha0[name], got), name
+
+    def test_stacked_terms_equal_per_direction_formulas_bitwise(self):
+        """Float32 desk batch: every loss value and parameter gradient of the
+        stacked mask terms equals the same terms written one direction at a
+        time, bit for bit."""
+        from stereosr import tensor as T
+        from stereosr.model import warp
+        from stereosr.optim import named_parameters, zero_grads
+
+        alpha = 0.005
+        params = init_model(np.random.default_rng(5), 2, 8, 1, zero_output=False)
+        samples = [synth_stereo(20 + k, 32, 96, (2.0, 6.0), scale=2)[0] for k in range(8)]
+        lr_l, lr_r, hr_l, hr_r = batch_tensors(samples)
+
+        def upsample_renorm(m):
+            up = T.trilinear_upsample(m, 2)
+            return up / up.sum(axis=-1, keepdims=True)
+
+        def smooth(m):
+            return (m[:, :-1] - m[:, 1:]).abs().mean() + (
+                m[:, :, :-1, :-1] - m[:, :, 1:, 1:]
+            ).abs().mean()
+
+        def per_direction(out):
+            m_lr, m_rl = out.masks_lr[0], out.masks_lr[1]
+            dc = ((upsample_renorm(m_lr) - out.masks_sr[0]) ** 2).mean() + (
+                (upsample_renorm(m_rl) - out.masks_sr[1]) ** 2
+            ).mean()
+            photo = (lr_l - warp(m_rl, lr_r)).abs().mean() + (
+                lr_r - warp(m_lr, lr_l)
+            ).abs().mean()
+            smooth_lr, smooth_rl = smooth(m_lr), smooth(m_rl)
+            n, h, w, _ = m_lr.shape
+            lr_rows, rl_rows = m_lr.reshape(n * h, w, w), m_rl.reshape(n * h, w, w)
+            eye = Tensor(np.eye(w, dtype=np.float32))
+            cycle = (T.batch_matmul(lr_rows, rl_rows) - eye).abs().mean() + (
+                T.batch_matmul(rl_rows, lr_rows) - eye
+            ).abs().mean()
+            mse = mse_loss(out.sr_left, out.sr_right, hr_l, hr_r)
+            return total_loss(mse, dc, photo, smooth_lr, smooth_rl, cycle, alpha)
+
+        results = []
+        for objective in (
+            lambda out: compute_losses(out, lr_l, lr_r, hr_l, hr_r, alpha, 2),
+            per_direction,
+        ):
+            zero_grads(params)
+            total, br = objective(forward_full(lr_l, lr_r, params))
+            total.backward()
+            results.append((br, {n: p.grad.copy() for n, p in named_parameters(params)}))
+        (got_br, got), (want_br, want) = results
+        assert got_br == want_br
+        assert len(got) == 56
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name

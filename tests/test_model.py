@@ -54,8 +54,8 @@ class TestAttentionMasks:
         params = tiny_model(rng, tie_qk=True, dtype=np.float64)
         x = Tensor(rng.random((1, 1, 5, 7)), dtype=np.float64)
         f_l, f_r = extract_features(x, Tensor(x.data.copy()), params.extractor)
-        m_lr, m_rl = attention_masks(f_l, f_r, params.attention)
-        np.testing.assert_array_equal(m_lr.data, m_rl.data)
+        m_lr, m_rl = attention_masks(f_l, f_r, params.attention).data
+        np.testing.assert_array_equal(m_lr, m_rl)
 
     def test_constant_features_give_uniform_masks(self, rng):
         """Equal logits normalize to 1/W.
@@ -69,18 +69,18 @@ class TestAttentionMasks:
             p.weight.data[...] = 0.0
             p.bias.data[...] = 0.0
         f = Tensor(np.full((1, 3, 4, 6), 0.7, dtype=np.float32))
-        m_lr, m_rl = attention_masks(f, Tensor(f.data.copy()), model.attention)
-        np.testing.assert_allclose(m_lr.data, 1.0 / 6.0, atol=1e-6)
-        np.testing.assert_allclose(m_rl.data, 1.0 / 6.0, atol=1e-6)
+        m_lr, m_rl = attention_masks(f, Tensor(f.data.copy()), model.attention).data
+        np.testing.assert_allclose(m_lr, 1.0 / 6.0, atol=1e-6)
+        np.testing.assert_allclose(m_rl, 1.0 / 6.0, atol=1e-6)
 
     def test_row_slices_sum_to_one(self, rng):
         params = tiny_model(rng)
         a = Tensor(rng.random((2, 1, 5, 8)).astype(np.float32))
         b = Tensor(rng.random((2, 1, 5, 8)).astype(np.float32))
         f_l, f_r = extract_features(a, b, params.extractor)
-        for m in attention_masks(f_l, f_r, params.attention):
-            np.testing.assert_allclose(m.data.sum(-1), 1.0, atol=1e-5)
-            assert m.data.min() >= 0.0
+        for m in attention_masks(f_l, f_r, params.attention).data:
+            np.testing.assert_allclose(m.sum(-1), 1.0, atol=1e-5)
+            assert m.min() >= 0.0
 
     def test_shape_mismatch_rejected(self, rng):
         params = tiny_model(rng)
@@ -178,18 +178,16 @@ class TestForwardFull:
         out = forward_full(lr_l, lr_r, params)
         assert out.sr_left.shape == (1, 1, 12, 20)
         assert out.sr_right.shape == (1, 1, 12, 20)
-        assert out.m_lr_lr.shape == (1, 6, 10, 10)
-        assert out.m_rl_lr.shape == (1, 6, 10, 10)
-        assert out.m_lr_sr.shape == (1, 12, 20, 20)
-        assert out.m_rl_sr.shape == (1, 12, 20, 20)
+        assert out.masks_lr.shape == (2, 1, 6, 10, 10)
+        assert out.masks_sr.shape == (2, 1, 12, 20, 20)
 
     def test_all_mask_rows_normalized_after_forward(self, rng):
         params = tiny_model(rng)
         sample, _ = synth_stereo(2, 12, 20, (1.0, 2.0), scale=2)
         lr_l, lr_r, _, _ = batch_tensors([sample])
         out = forward_full(lr_l, lr_r, params)
-        for m in (out.m_lr_lr, out.m_rl_lr, out.m_lr_sr, out.m_rl_sr):
-            sums = m.data.sum(-1)
+        for m in (*out.masks_lr.data, *out.masks_sr.data):
+            sums = m.sum(-1)
             assert np.all(np.abs(sums - 1.0) <= 1e-5)
 
     def test_eye_swap_with_tied_qk_swaps_outputs_bitwise(self, rng):
@@ -201,9 +199,9 @@ class TestForwardFull:
         swp = forward_full(lr_r, lr_l, params)
         assert np.array_equal(swp.sr_left.data, fwd.sr_right.data)
         assert np.array_equal(swp.sr_right.data, fwd.sr_left.data)
-        assert np.array_equal(swp.m_rl_lr.data, fwd.m_lr_lr.data)
-        assert np.array_equal(swp.m_lr_lr.data, fwd.m_rl_lr.data)
-        assert np.array_equal(swp.m_rl_sr.data, fwd.m_lr_sr.data)
+        assert np.array_equal(swp.masks_lr.data[1], fwd.masks_lr.data[0])
+        assert np.array_equal(swp.masks_lr.data[0], fwd.masks_lr.data[1])
+        assert np.array_equal(swp.masks_sr.data[1], fwd.masks_sr.data[0])
 
     def test_zero_model_equals_bicubic_baseline(self, rng):
         params = tiny_model(rng, dtype=np.float64)
@@ -253,10 +251,10 @@ class TestMasksPair:
             f_l, f_r = extract_features(
                 Tensor(sample.lr_left[None]), Tensor(sample.lr_right[None]), params.extractor
             )
-            want_lr, want_rl = attention_masks(f_l, f_r, params.attention)
+            want_lr, want_rl = attention_masks(f_l, f_r, params.attention).data
         assert m_lr.shape == m_rl.shape == (8, 20, 20)
-        assert m_lr.tobytes() == want_lr.data[0].tobytes()
-        assert m_rl.tobytes() == want_rl.data[0].tobytes()
+        assert m_lr.tobytes() == want_lr[0].tobytes()
+        assert m_rl.tobytes() == want_rl[0].tobytes()
 
 
 class TestPairHelpers:

@@ -331,7 +331,8 @@ class TestBatchMatmul:
 
 
 def composite_attention(q, k, scale):
-    """The ops row_attention fuses: batch_matmul, mul by scale, softmax of S and S^T."""
+    """The ops row_attention fuses, one direction at a time: batch_matmul, mul by
+    scale, softmax of S^T (M_lr) and of S (M_rl)."""
     s = T.mul(T.batch_matmul(q, k), scale)
     m_rl = T.softmax_lastdim(s)
     return T.softmax_lastdim(s.transpose(0, 2, 1)), m_rl
@@ -363,15 +364,23 @@ class TestRowAttention:
     def test_masks_and_gradients_equal_the_composite(self, rng, rows, width, channels):
         q0 = (3.0 * rng.normal(size=(rows, width, channels))).astype(np.float32)
         k0 = (3.0 * rng.normal(size=(rows, channels, width))).astype(np.float32)
-        g_lr = rng.normal(size=(rows, width, width)).astype(np.float32)
-        g_rl = rng.normal(size=(rows, width, width)).astype(np.float32)
+        g = rng.normal(size=(2, rows, width, width)).astype(np.float32)
         results = []
-        for attend in (T.row_attention, composite_attention):
-            q = Tensor(q0.copy(), requires_grad=True)
-            k = Tensor(k0.copy(), requires_grad=True)
-            m_lr, m_rl = attend(q, k, 1.0 / channels)
-            ((m_lr * g_lr).sum() + (m_rl * g_rl).sum()).backward()
-            results.append((m_lr.data, m_rl.data, q.grad, k.grad))
+
+        q = Tensor(q0.copy(), requires_grad=True)
+        k = Tensor(k0.copy(), requires_grad=True)
+        masks = T.row_attention(q, k, 1.0 / channels)
+        # one graph node holds both directions
+        assert masks.shape == (2, rows, width, width) and masks._parents == (q, k)
+        (masks * g).sum().backward()
+        results.append((masks.data[0], masks.data[1], q.grad, k.grad))
+
+        q = Tensor(q0.copy(), requires_grad=True)
+        k = Tensor(k0.copy(), requires_grad=True)
+        m_lr, m_rl = composite_attention(q, k, 1.0 / channels)
+        ((m_lr * g[0]).sum() + (m_rl * g[1]).sum()).backward()
+        results.append((m_lr.data, m_rl.data, q.grad, k.grad))
+
         for got, want in zip(*results):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -379,11 +388,10 @@ class TestRowAttention:
     def test_gradient_float64(self, rng):
         q = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, dtype=np.float64)
         k = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True, dtype=np.float64)
-        g_lr, g_rl = rng.normal(size=(2, 2, 5, 5))
+        g = rng.normal(size=(2, 2, 5, 5))
 
         def loss():
-            m_lr, m_rl = T.row_attention(q, k, 0.7)
-            return (m_lr * g_lr).sum() + (m_rl * g_rl).sum()
+            return (T.row_attention(q, k, 0.7) * g).sum()
 
         report = check_gradients(loss, [("q", q), ("k", k)], elementwise=True)
         assert max(report.values()) < 1e-5
@@ -396,11 +404,11 @@ class TestRowAttention:
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                m_lr, m_rl = T.row_attention(q, k, 0.125)
+                masks = T.row_attention(q, k, 0.125)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-        assert peak <= m_lr.data.nbytes + m_rl.data.nbytes + 64 * 1024
+        assert peak <= masks.data.nbytes + 64 * 1024
 
     @pytest.mark.parametrize(
         "q_shape,k_shape",
