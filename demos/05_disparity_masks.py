@@ -12,7 +12,7 @@ import numpy as np
 
 from stereosr.data import disparity_sidecar_path, load_frame, read_manifest
 from stereosr.imageio import load_disparity, save_image
-from stereosr.model import mask_argmax_disparity, masks_pair
+from stereosr.model import masks_pair, pair_disparity
 from stereosr.training import load_checkpoint, restore_model
 
 out = os.environ.get("STEREOSR_OUT_DIR", "demo_out")
@@ -25,9 +25,10 @@ params, _, _ = restore_model(load_checkpoint(ckpt))
 entry = [e for e in read_manifest(manifest) if e.split == "test"][0]
 frame = load_frame(entry, scale=2)
 
-m_lr, m_rl = masks_pair(params, frame.lr)
+masks = masks_pair(params, frame.lr)
+m_rl = masks[1]
 
-recovered = mask_argmax_disparity(m_rl, "rl")
+recovered = pair_disparity(masks)[0]
 truth_hr = load_disparity(disparity_sidecar_path(entry.left_path))
 truth_lr = truth_hr[::2, ::2] / 2.0
 

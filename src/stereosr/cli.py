@@ -20,7 +20,7 @@ from .data import SCALES, generate_dataset
 from .gradcheck import full_model_gradcheck
 from .imageio import load_image, save_image
 from .metrics import evaluate
-from .model import mask_argmax_disparity, masks_pair, sr_pair
+from .model import masks_pair, pair_disparity, sr_pair
 
 OUT_DIR_ENV = "STEREOSR_OUT_DIR"
 
@@ -177,10 +177,8 @@ def _cmd_dump_masks(args) -> int:
     if not np.isfinite(args.gain):
         raise ValueError(f"--gain must be finite, got {args.gain}")
     params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
-    m_lr, m_rl = masks_pair(params, _load_pair(args, params))
-    disp_left = mask_argmax_disparity(m_rl, "rl")
-    disp_right = mask_argmax_disparity(m_lr, "lr")
-    for path, disp in ((args.out_left, disp_left), (args.out_right, disp_right)):
+    disps = pair_disparity(masks_pair(params, _load_pair(args, params)))
+    for path, disp in zip((args.out_left, args.out_right), disps):
         gray = (128.0 + args.gain * disp) / 255.0
         save_image(path, gray[None].astype(np.float32))
     print(f"wrote {args.out_left} and {args.out_right}")

@@ -14,7 +14,8 @@ diagonal, and cycle drives round-trip warps toward the identity.
 Every mask term takes a mask pair as one [2,N,H,W,W] tensor and works
 both directions in one call: index 0 is M_lr, which warps the left eye
 onto the right view, and index 1 is M_rl, which warps the right eye onto
-the left view (``model`` module docstring).
+the left view (``model`` module docstring). The photometric term holds
+``warp``'s index 0 against the right eye and index 1 against the left.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .model import warp
+from .model import check_mask_pair, warp
 from .tensor import Tensor
 
 
@@ -64,11 +65,6 @@ def mse_loss(sr_left: Tensor, sr_right: Tensor, hr_left: Tensor, hr_right: Tenso
     return ((sr_left - hr_left) ** 2).mean() + ((sr_right - hr_right) ** 2).mean()
 
 
-def _check_pair(masks: Tensor, name: str) -> None:
-    if masks.ndim != 5 or masks.shape[0] != 2 or masks.shape[-1] != masks.shape[-2]:
-        raise ValueError(f"{name} needs a [2,N,H,W,W] mask pair, got {masks.shape}")
-
-
 def _direction_means(x: Tensor) -> Tensor:
     """[2] means of x's first and second half along its leading axis."""
     # a 1-extent axis leaves nothing to difference; that term is zero
@@ -80,13 +76,12 @@ def _direction_means(x: Tensor) -> Tensor:
 def photometric_loss(i_left: Tensor, i_right: Tensor, masks: Tensor) -> Tensor:
     """Mean L1 error of each eye against the mask-warped other eye.
 
-    One warp of the stacked eyes: M_lr carries the left eye to the right
-    view and M_rl the right eye to the left view.
+    One warp of both eyes: M_lr carries the left eye to the right view and
+    M_rl the right eye to the left view.
     """
-    _check_pair(masks, "photometric_loss")
-    _, n, h, w, _ = masks.shape
-    warped = warp(masks.reshape(2 * n, h, w, w), T.concat([i_left, i_right]))
-    return _direction_means((T.concat([i_right, i_left]) - warped).abs()).sum()
+    warped = warp(masks, i_left, i_right)
+    target = T.concat([i_right, i_left]).reshape(warped.shape)
+    return _direction_means((target - warped).abs()).sum()
 
 
 def smoothness_loss(masks: Tensor, diagonal: bool = True) -> Tensor:
@@ -98,7 +93,7 @@ def smoothness_loss(masks: Tensor, diagonal: bool = True) -> Tensor:
     Out-of-range neighbors are dropped. Axes are (direction, n, i, j, k)
     with i the image row and (j, k) the square attention matrix.
     """
-    _check_pair(masks, "smoothness_loss")
+    check_mask_pair(masks, "smoothness_loss")
     row_diff = masks[:, :, :-1, :, :] - masks[:, :, 1:, :, :]
     if diagonal:
         second = masks[:, :, :, :-1, :-1] - masks[:, :, :, 1:, 1:]
@@ -112,18 +107,15 @@ def cycle_loss(masks: Tensor) -> Tensor:
 
     One batched product of the pair against its swap: M_lr M_rl and M_rl M_lr.
     """
-    _check_pair(masks, "cycle_loss")
-    _, n, h, w, _ = masks.shape
-    rows = masks.reshape(2 * n * h, w, w)
-    swapped = masks[::-1].reshape(2 * n * h, w, w)
-    eye = Tensor(np.eye(w, dtype=masks.dtype))
-    return _direction_means((T.batch_matmul(rows, swapped) - eye).abs()).sum()
+    check_mask_pair(masks, "cycle_loss")
+    eye = Tensor(np.eye(masks.shape[-1], dtype=masks.dtype))
+    return _direction_means((T.batch_matmul(masks, masks[::-1]) - eye).abs()).sum()
 
 
 def disparity_consistency_loss(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
     """Mean squared gap between the SR masks and the trilinearly upsampled LR
     masks, whose rows are rescaled back to sum 1."""
-    _check_pair(masks_lr, "disparity_consistency_loss")
+    check_mask_pair(masks_lr, "disparity_consistency_loss")
     expect = tuple(masks_lr.shape[:-3]) + tuple(n * s for n in masks_lr.shape[-3:])
     if tuple(masks_sr.shape) != expect:
         raise ValueError(

@@ -13,6 +13,9 @@ as one [2,N,H,W,W] tensor:
     reconstructing left column a on row i (softmax over b). It warps the
     right eye onto the left view.
 
+``warp`` applies the pair to both eyes in one product: index 0 is M_lr·left,
+fused by the right eye's reconstruction, and index 1 M_rl·right, by the left's.
+
 Before the dot products, one shared dilated-mixing block widens each
 eye's features so correspondences draw on rows near the epipolar line
 rather than the single line itself.
@@ -119,12 +122,6 @@ def zero_model(params: ModelParams) -> None:
 # ----------------------------------------------------------------------
 # masks and warping
 # ----------------------------------------------------------------------
-def _rows_as_batch(x: Tensor) -> Tensor:
-    """[N,C,H,W] -> [N*H, W, C]."""
-    n, c, h, w = x.shape
-    return x.transpose(0, 2, 3, 1).reshape(n * h, w, c)
-
-
 def attention_masks(f_left: Tensor, f_right: Tensor, params: AttentionParams) -> Tensor:
     """Both disparity masks as one [2,N,H,W,W] tensor with unit row slices.
 
@@ -142,30 +139,38 @@ def attention_masks(f_left: Tensor, f_right: Tensor, params: AttentionParams) ->
     q = conv(g_left, params.query)
     k = conv(g_right, params.key)
     n, c, h, w = q.shape
-    q_rows = _rows_as_batch(q)  # [N*H, W, C]
+    q_rows = q.transpose(0, 2, 3, 1).reshape(n * h, w, c)  # [N*H, W, C]
     k_rows = k.transpose(0, 2, 1, 3).reshape(n * h, c, w)  # [N*H, C, W]
     return T.row_attention(q_rows, k_rows, 1.0 / c).reshape(2, n, h, w, w)
 
 
-def warp(mask: Tensor, image: Tensor) -> Tensor:
-    """Apply a disparity mask row-wise: out[n,c,i,a] = sum_b mask[n,i,a,b]*img[n,c,i,b].
+def check_mask_pair(masks: Tensor, name: str) -> None:
+    """The shape every reader of a mask pair takes: one [2,N,H,W,W] tensor."""
+    if masks.ndim != 5 or masks.shape[0] != 2 or masks.shape[-1] != masks.shape[-2]:
+        raise ValueError(f"{name} needs a [2,N,H,W,W] mask pair, got {masks.shape}")
 
-    Takes a batched mask [N,H,W,W] and image [N,C,H,W].
+
+def warp(masks: Tensor, left: Tensor, right: Tensor) -> Tensor:
+    """Warp each eye onto the other view row-wise with its mask of the pair.
+
+    Takes the [2,N,H,W,W] pair and both eyes [N,C,H,W]; returns [2,N,C,H,W]
+    with out[d,n,c,i,a] = sum_b masks[d,n,i,a,b] * eye_d[n,c,i,b]: index 0
+    is M_lr·left, the left eye on the right view, index 1 M_rl·right.
     """
-    if mask.ndim != 4 or image.ndim != 4:
-        raise ValueError(f"warp got mask {mask.shape} and image {image.shape}")
-    n, h, w, w2 = mask.shape
-    ni, c, hi, wi = image.shape
-    if w != w2:
-        raise ValueError(f"mask row slices must be square, got {w}x{w2}")
+    check_mask_pair(masks, "warp")
+    if left.ndim != 4 or left.shape != right.shape:
+        raise ValueError(f"warp got eyes {left.shape} and {right.shape}")
+    _, n, h, w, _ = masks.shape
+    ni, c, hi, wi = left.shape
     if (n, h, w) != (ni, hi, wi):
-        raise ValueError(
-            f"mask extents N,H,W={n, h, w} do not match image {ni, hi, wi}"
-        )
-    img_rows = _rows_as_batch(image)  # [N*H, W, C]
-    mask_rows = mask.reshape(n * h, w, w)
-    out_rows = T.batch_matmul(mask_rows, img_rows)  # [N*H, W, C]
-    return out_rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        raise ValueError(f"mask extents N,H,W={n, h, w} do not match image {ni, hi, wi}")
+    # each eye's [N*H,W,C] operand keeps a lone eye's layout, a view at N=1
+    # and a copy at N>1: OpenBLAS rounds the view's column-major [W,C] rows
+    # differently from a copy, so folding the eyes into [2N*H,W,C] rows
+    # would change the last bits at N=1
+    eyes = T.concat([left, right]).reshape(2, n, c, h, w).transpose(0, 1, 3, 4, 2)
+    rows = T.batch_matmul(masks.reshape(2, n * h, w, w), eyes.reshape(2, n * h, w, c))
+    return rows.reshape(2, n, h, w, c).transpose(0, 1, 4, 2, 3)
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +206,9 @@ def _lr_pass(
     """SR images for both eyes plus the stacked [2,N,h,w,w] LR mask pair."""
     f_left, f_right = extract_features(lr_left, lr_right, params.extractor)
     masks = attention_masks(f_left, f_right, params.attention)
-    sr_left = reconstruct_sr(
-        f_left, warp(masks[1], f_right), lr_left, params.attention, params.scale
-    )
-    sr_right = reconstruct_sr(
-        f_right, warp(masks[0], f_left), lr_right, params.attention, params.scale
-    )
+    warped = warp(masks, f_left, f_right)
+    sr_left = reconstruct_sr(f_left, warped[1], lr_left, params.attention, params.scale)
+    sr_right = reconstruct_sr(f_right, warped[0], lr_right, params.attention, params.scale)
     return sr_left, sr_right, masks
 
 
@@ -267,18 +269,13 @@ def batch_tensors(samples, dtype=np.float32) -> Tuple[Tensor, Tensor, Tensor, Te
     return Tensor(lr_l), Tensor(lr_r), Tensor(hr_l), Tensor(hr_r)
 
 
-def mask_argmax_disparity(mask: np.ndarray, direction: str) -> np.ndarray:
-    """Recover integer disparity per pixel from one [h, w, w] mask's argmax.
+def pair_disparity(masks: np.ndarray) -> np.ndarray:
+    """Integer disparity per pixel of each eye from a [2,h,w,w] mask pair's argmax.
 
-    direction "rl" (mask indexed [i, a, b]): d[i, a] = a - argmax_b.
-    direction "lr" (mask indexed [i, b, a]): d[i, b] = argmax_a - b.
+    Returns [2,h,w] int32 maps, eye 0 left. The left map reads M_rl
+    (index 1): d[i, a] = a - argmax_b M_rl[i, a, b]. The right map reads
+    M_lr (index 0): d[i, b] = argmax_a M_lr[i, b, a] - b.
     """
-    mask = np.asarray(mask)
-    _, w, _ = mask.shape
-    hit = mask.argmax(axis=-1)
-    cols = np.arange(w)[None, :]
-    if direction == "rl":
-        return (cols - hit).astype(np.int32)
-    if direction == "lr":
-        return (hit - cols).astype(np.int32)
-    raise ValueError(f"direction must be 'rl' or 'lr', got {direction!r}")
+    hit = np.asarray(masks).argmax(axis=-1)
+    cols = np.arange(hit.shape[-1])
+    return np.stack([cols - hit[1], hit[0] - cols]).astype(np.int32)

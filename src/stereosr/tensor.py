@@ -403,8 +403,8 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    # copied only when not C-contiguous; a scalar stays 0-d
-    out = np.asarray(a.data[idx], order="C")
+    # a basic index gives a view and no copy; a scalar stays 0-d
+    out = np.asarray(a.data[idx])
     in_shape = a.shape
 
     def vjp(g):
@@ -506,25 +506,26 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
 
 
 def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Independent matrix product per batch index: [B,M,K] x [B,K,N] -> [B,M,N]."""
-    if a.ndim != 3 or b.ndim != 3:
+    """Independent matrix product per batch index: [...,M,K] x [...,K,N] -> [...,M,N],
+    the leading (batch) dims of the two operands equal."""
+    if a.ndim < 3 or a.ndim != b.ndim:
         raise ValueError(
-            f"batch_matmul expects rank-3 operands, got {a.shape} and {b.shape}"
+            f"batch_matmul expects operands of one rank >= 3, got {a.shape} and {b.shape}"
         )
-    if a.shape[0] != b.shape[0]:
+    if a.shape[:-2] != b.shape[:-2]:
         raise ValueError(
-            f"batch_matmul batch dims differ: {a.shape[0]} vs {b.shape[0]}"
+            f"batch_matmul batch dims differ: {a.shape[:-2]} vs {b.shape[:-2]}"
         )
-    if a.shape[2] != b.shape[1]:
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(
-            f"batch_matmul inner dims differ: K={a.shape[2]} vs K={b.shape[1]}"
+            f"batch_matmul inner dims differ: K={a.shape[-1]} vs K={b.shape[-2]}"
         )
     out = np.matmul(a.data, b.data)
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        ga = np.matmul(g, b_data.transpose(0, 2, 1))
-        gb = np.matmul(a_data.transpose(0, 2, 1), g)
+        ga = np.matmul(g, b_data.swapaxes(-1, -2))
+        gb = np.matmul(a_data.swapaxes(-1, -2), g)
         return ga, gb
 
     return _make(out, (a, b), vjp, "batch_matmul")

@@ -70,8 +70,8 @@ class TrainConfig:
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {self.scale}")
         positive = (
-            ("alpha", self.alpha >= 0),
-            ("lr0", self.lr0 > 0),
+            ("alpha", 0 <= self.alpha < math.inf),
+            ("lr0", 0 < self.lr0 < math.inf),
             ("epochs", self.epochs > 0),
             ("batch", self.resolved_batch() >= 1),
             ("patch_h", self.patch_h > 0),
@@ -123,17 +123,19 @@ def apply_config(cfg: TrainConfig, values: Dict[str, str]) -> TrainConfig:
     for key, raw in values.items():
         if key not in valid:
             raise ValueError(f"unknown config key '{key}'")
-        current = getattr(cfg, key)
-        if key == "batch":
-            updates[key] = None if raw.lower() in ("", "none", "auto") else int(raw)
-        elif isinstance(current, bool):
+        kind = int if key == "batch" else type(getattr(TrainConfig, key))
+        if key == "batch" and raw.lower() in ("", "none", "auto"):
+            updates[key] = None
+        elif kind is bool:
             if raw.lower() not in _BOOL_STRINGS:
                 raise ValueError(f"config key '{key}' expects a boolean, got {raw!r}")
             updates[key] = _BOOL_STRINGS[raw.lower()]
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
+        elif kind in (int, float):
+            try:
+                updates[key] = kind(raw)
+            except ValueError:
+                expects = "an integer" if kind is int else "a number"
+                raise ValueError(f"config key '{key}' expects {expects}, got {raw!r}") from None
         else:
             updates[key] = raw
     return replace(cfg, **updates)
@@ -398,9 +400,10 @@ def train(
     mode = "a" if resume else "w"
     loss_fh = open(loss_csv, mode, encoding="ascii")
     val_fh = open(val_csv, mode, encoding="ascii")
-    if not resume:
-        loss_fh.write(CSV_HEADER + "\n")
-        val_fh.write("epoch,psnr_db,ssim\n")
+    # a new or empty log gets its header, a resumed run's log too
+    for fh, header in ((loss_fh, CSV_HEADER), (val_fh, "epoch,psnr_db,ssim")):
+        if fh.tell() == 0:
+            fh.write(header + "\n")
 
     last_ckpt = resume or "<none>"
     ckpt_path = last_ckpt

@@ -2,6 +2,18 @@
 
 import numpy as np
 
+from stereosr import tensor as T
+
+
+def lone_eye_warp(mask, image):
+    """One eye's row warp, the reference for ``model.warp``'s pair: one
+    ``batch_matmul`` of the [N,H,W,W] mask as [N*H,W,W] rows by the [N,C,H,W]
+    image as [N*H,W,C] rows. Tensors in and out."""
+    n, c, h, w = image.shape
+    rows = image.transpose(0, 2, 3, 1).reshape(n * h, w, c)
+    out = T.batch_matmul(mask.reshape(n * h, w, w), rows)
+    return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
 
 def psnr_reference(a, b, peak=1.0):
     mse = np.mean((np.asarray(a, np.float64) - np.asarray(b, np.float64)) ** 2)

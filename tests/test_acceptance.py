@@ -26,7 +26,7 @@ from stereosr.model import (
     batch_tensors,
     forward_full,
     init_model,
-    mask_argmax_disparity,
+    pair_disparity,
     super_resolve,
     zero_model,
 )
@@ -94,9 +94,9 @@ def test_mask_normalization_after_forward():
 # ----------------------------------------------------------------------
 # 3. disparity recovery
 # ----------------------------------------------------------------------
-def _recovery_rate(mask_rl: np.ndarray, truth_lr: np.ndarray) -> float:
-    """Fraction of interior pixels whose argmax disparity is within 1 px."""
-    disp = mask_argmax_disparity(mask_rl, "rl")
+def _recovery_rate(masks: np.ndarray, truth_lr: np.ndarray) -> float:
+    """Fraction of interior pixels whose left-eye argmax disparity is within 1 px."""
+    disp = pair_disparity(masks)[0]
     h, w = disp.shape
     margin = int(np.ceil(truth_lr.max())) + 2
     got = disp[1 : h - 1, margin : w - margin]
@@ -143,14 +143,14 @@ def _train_constant_disparity(d: int, seed: int, max_steps: int = 2000):
             if step >= 500 and step % 100 == 0:
                 with no_grad():
                     pout = forward_full(pl, pr, params)
-                rate = _recovery_rate(pout.masks_lr.data[1, 0], truth_lr)
+                rate = _recovery_rate(pout.masks_lr.data[:, 0], truth_lr)
                 if rate >= 0.9:
                     return rate, step
             if step >= max_steps:
                 break
     with no_grad():
         pout = forward_full(pl, pr, params)
-    return _recovery_rate(pout.masks_lr.data[1, 0], truth_lr), step
+    return _recovery_rate(pout.masks_lr.data[:, 0], truth_lr), step
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -10,6 +10,7 @@ from stereosr import cli
 from stereosr.cli import main
 from stereosr.data import ManifestEntry, generate_dataset, synth_stereo, write_manifest
 from stereosr.imageio import load_image, save_image
+from stereosr.losses import CSV_HEADER
 from stereosr.model import init_model
 from stereosr.optim import adam_init, named_parameters
 from stereosr.training import load_checkpoint, restore_model, save_checkpoint
@@ -120,6 +121,37 @@ class TestTrain:
         assert os.path.exists(os.path.join(env_dir, "loss.csv"))
 
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr0", "inf"), ("--lr0", "nan"), ("--alpha", "inf"), ("--alpha", "nan")]
+    )
+    def test_non_finite_rate_or_weight_exits_1_before_reading_data(
+        self, tmp_path, capsys, flag, value
+    ):
+        out_dir = tmp_path / "run"
+        code = main([
+            "train", "--desk", "--manifest", str(tmp_path / "missing.txt"),
+            "--out-dir", str(out_dir), flag, value,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and f"'{flag[2:]}'" in err, err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_fractional_epochs_exits_1_naming_key_and_type(self, tmp_path, capsys, where):
+        args = ["train", "--desk", "--manifest", str(tmp_path / "missing.txt")]
+        if where == "flag":
+            args += ["--epochs", "1.5"]
+        else:
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text("epochs=1.5\n")
+            args += ["--config", str(cfg_file)]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config key 'epochs' expects an integer, got '1.5'" in err, err
+
+
 # a desk run small enough for the CLI tests
 SMALL_RUN = [
     "--channels", "4", "--patch-h", "8", "--patch-w", "24", "--stride", "8", "--batch", "4",
@@ -203,6 +235,32 @@ class TestResume:
         else:
             assert code == 1
             assert err.startswith("error: ") and message in err, err
+
+
+    @pytest.mark.parametrize("existing", ["none", "empty", "first-run"])
+    def test_each_log_opens_with_one_header(self, dataset, trained, tmp_path, existing):
+        """A resume writes each log's header when the file is new or empty, and
+        appends below the rows of a log that has them."""
+        out_dir = str(tmp_path / "r")
+        if existing != "none":
+            os.makedirs(out_dir)
+            for name in ("loss.csv", "val.csv"):
+                with open(os.path.join(out_dir, name), "w") as fh:
+                    if existing == "first-run":
+                        with open(os.path.join(os.path.dirname(trained), name)) as src:
+                            fh.write(src.read())
+        code = main([
+            "train", "--desk", "--manifest", dataset[1], "--out-dir", out_dir,
+            "--resume", trained, "--seed", "1", "--epochs", "2", *SMALL_RUN,
+        ])
+        assert code == 0
+        for name, header in (("loss.csv", CSV_HEADER), ("val.csv", "epoch,psnr_db,ssim")):
+            with open(os.path.join(out_dir, name)) as fh:
+                lines = fh.read().splitlines()
+            assert lines[0] == header and lines.count(header) == 1, (name, lines[:2])
+            # the resumed epoch's validation row comes last
+            if name == "val.csv":
+                assert lines[-1].startswith("1,"), lines
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import lone_eye_warp
 from stereosr.losses import (
     LossBreakdown,
     compute_losses,
@@ -306,7 +307,6 @@ class TestFullObjective:
         stacked mask terms equals the same terms written one direction at a
         time, bit for bit."""
         from stereosr import tensor as T
-        from stereosr.model import warp
         from stereosr.optim import named_parameters, zero_grads
 
         alpha = 0.005
@@ -328,8 +328,8 @@ class TestFullObjective:
             dc = ((upsample_renorm(m_lr) - out.masks_sr[0]) ** 2).mean() + (
                 (upsample_renorm(m_rl) - out.masks_sr[1]) ** 2
             ).mean()
-            photo = (lr_l - warp(m_rl, lr_r)).abs().mean() + (
-                lr_r - warp(m_lr, lr_l)
+            photo = (lr_l - lone_eye_warp(m_rl, lr_r)).abs().mean() + (
+                lr_r - lone_eye_warp(m_lr, lr_l)
             ).abs().mean()
             smooth_lr, smooth_rl = smooth(m_lr), smooth(m_rl)
             n, h, w, _ = m_lr.shape

@@ -5,16 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import lone_eye_warp
 from stereosr.backbone import extract_features, init_res_aspp_block
 from stereosr.data import bicubic_resize, synth_stereo
-from stereosr.gradcheck import numerical_gradient
+from stereosr.gradcheck import check_gradients, numerical_gradient
 from stereosr.model import (
     attention_masks,
     batch_tensors,
     forward_full,
     init_model,
-    mask_argmax_disparity,
     masks_pair,
+    pair_disparity,
     reconstruct_sr,
     sr_pair,
     super_resolve,
@@ -92,41 +93,81 @@ class TestAttentionMasks:
             )
 
 
+def mask_pair(m_lr, m_rl=None):
+    """One [2,N,H,W,W] pair from [N,H,W,W] masks; M_rl defaults to M_lr."""
+    return np.stack([m_lr, m_lr if m_rl is None else m_rl])
+
+
 class TestWarp:
     def test_identity_mask_is_identity(self, rng):
-        img = rng.random((1, 2, 3, 5)).astype(np.float32)
-        mask = np.broadcast_to(np.eye(5, dtype=np.float32), (1, 3, 5, 5)).copy()
-        out = warp(Tensor(mask), Tensor(img))
+        img = rng.random((2, 1, 2, 3, 5)).astype(np.float32)
+        mask = np.broadcast_to(np.eye(5, dtype=np.float32), (2, 1, 3, 5, 5)).copy()
+        out = warp(Tensor(mask), Tensor(img[0]), Tensor(img[1]))
         np.testing.assert_allclose(out.data, img, atol=1e-7)
 
     def test_uniform_mask_averages_rows(self, rng):
-        img = rng.random((1, 1, 4, 6)).astype(np.float64)
-        mask = np.full((1, 4, 6, 6), 1.0 / 6.0)
-        out = warp(Tensor(mask, dtype=np.float64), Tensor(img, dtype=np.float64))
-        want = np.repeat(img.mean(axis=3, keepdims=True), 6, axis=3)
+        img = rng.random((2, 1, 1, 4, 6)).astype(np.float64)
+        mask = np.full((2, 1, 4, 6, 6), 1.0 / 6.0)
+        out = warp(Tensor(mask, dtype=np.float64), *(Tensor(e, dtype=np.float64) for e in img))
+        want = np.repeat(img.mean(axis=-1, keepdims=True), 6, axis=-1)
         np.testing.assert_allclose(out.data, want, atol=1e-9)
 
     def test_one_hot_shift_matches_direct_shift(self, rng):
-        img = rng.random((1, 1, 4, 8)).astype(np.float64)
-        mask = one_hot_shift_mask(4, 8, 2)[None]
-        out = warp(Tensor(mask, dtype=np.float64), Tensor(img, dtype=np.float64))
+        img = rng.random((2, 1, 1, 4, 8)).astype(np.float64)
+        mask = mask_pair(one_hot_shift_mask(4, 8, 2)[None])
+        out = warp(Tensor(mask, dtype=np.float64), *(Tensor(e, dtype=np.float64) for e in img))
         np.testing.assert_allclose(out.data[..., 2:], img[..., :-2], atol=1e-12)
 
     def test_linearity(self, rng):
-        mask = Tensor(np.abs(rng.random((1, 3, 5, 5))), dtype=np.float64)
-        x = Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64)
-        y = Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64)
-        lhs = warp(mask, Tensor(0.3 * x.data + 1.7 * y.data, dtype=np.float64))
-        rhs = 0.3 * warp(mask, x).data + 1.7 * warp(mask, y).data
+        mask = Tensor(np.abs(rng.random((2, 1, 3, 5, 5))), dtype=np.float64)
+        x = [Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64) for _ in range(2)]
+        y = [Tensor(rng.random((1, 2, 3, 5)), dtype=np.float64) for _ in range(2)]
+        mixed = [Tensor(0.3 * a.data + 1.7 * b.data, dtype=np.float64) for a, b in zip(x, y)]
+        lhs = warp(mask, *mixed)
+        rhs = 0.3 * warp(mask, *x).data + 1.7 * warp(mask, *y).data
         np.testing.assert_allclose(lhs.data, rhs, atol=1e-5)
 
     def test_extent_mismatch_rejected(self, rng):
+        eye = Tensor(np.zeros((1, 1, 4, 5)))
         with pytest.raises(ValueError, match="extents"):
-            warp(Tensor(np.zeros((1, 4, 6, 6))), Tensor(np.zeros((1, 1, 4, 5))))
+            warp(Tensor(np.zeros((2, 1, 4, 6, 6))), eye, eye)
 
     def test_unbatched_mask_rejected(self):
-        with pytest.raises(ValueError, match="warp got"):
-            warp(Tensor(np.zeros((4, 6, 6))), Tensor(np.zeros((1, 4, 6))))
+        eye = Tensor(np.zeros((1, 1, 4, 6)))
+        with pytest.raises(ValueError, match=r"warp needs a \[2,N,H,W,W\] mask pair"):
+            warp(Tensor(np.zeros((4, 6, 6))), eye, eye)
+
+    def test_eyes_of_different_shape_rejected(self):
+        mask = Tensor(np.zeros((2, 1, 4, 6, 6)))
+        with pytest.raises(ValueError, match="warp got eyes"):
+            warp(mask, Tensor(np.zeros((1, 1, 4, 6))), Tensor(np.zeros((1, 2, 4, 6))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, c", [(1, 1), (1, 8), (2, 1), (2, 8)])
+    def test_pair_equals_lone_eye_products_bitwise(self, rng, n, c, dtype):
+        """Index 0 is M_lr applied to the left eye and index 1 M_rl to the right
+        eye, each equal bit for bit to that eye's own batch_matmul. With OpenBLAS,
+        a contiguous copy of the N=1, C=8 float64 rows rounds otherwise."""
+        h, w = 5, 32
+        masks = rng.random((2, n, h, w, w)).astype(dtype)
+        left, right = rng.random((2, n, c, h, w)).astype(dtype)
+        out = warp(Tensor(masks), Tensor(left), Tensor(right))
+        assert out.shape == (2, n, c, h, w) and out.dtype == dtype
+        for got, mask, eye in zip(out.data, masks, (left, right)):
+            want = lone_eye_warp(Tensor(mask), Tensor(eye)).data
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_gradients(self, rng):
+        masks = Tensor(rng.random((2, 2, 3, 4, 4)), requires_grad=True, dtype=np.float64)
+        left = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True, dtype=np.float64)
+        right = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True, dtype=np.float64)
+        weight = Tensor(rng.normal(size=(2, 2, 3, 3, 4)), dtype=np.float64)
+        report = check_gradients(
+            lambda: (warp(masks, left, right) * weight).sum(),
+            [("masks", masks), ("left", left), ("right", right)],
+            elementwise=True,
+        )
+        assert max(report.values()) < 1e-6, report
 
 
 class TestReconstruct:
@@ -152,12 +193,14 @@ class TestReconstruct:
         params = tiny_model(rng, channels=3, dtype=np.float64)
         f_own = Tensor(rng.normal(size=(1, 3, 4, 6)), requires_grad=True, dtype=np.float64)
         f_other = Tensor(rng.normal(size=(1, 3, 4, 6)), requires_grad=True, dtype=np.float64)
-        logits = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True, dtype=np.float64)
+        logits = Tensor(rng.normal(size=(2, 1, 4, 6, 6)), requires_grad=True, dtype=np.float64)
         lr = Tensor(rng.random((1, 1, 4, 6)), dtype=np.float64)
 
         def loss():
-            mask = T.softmax_lastdim(logits)
-            out = reconstruct_sr(f_own, warp(mask, f_other), lr, params.attention, 2)
+            masks = T.softmax_lastdim(logits)
+            # f_own as the left eye: M_rl warps f_other (index 1) onto it
+            warped = warp(masks, f_own, f_other)[1]
+            out = reconstruct_sr(f_own, warped, lr, params.attention, 2)
             return (out**2).sum()
 
         for p in (f_own, f_other, logits):
@@ -289,12 +332,13 @@ class TestMaskDisparity:
     def test_recovers_shift_from_one_hot_masks(self):
         d = 3
         m_rl = one_hot_shift_mask(4, 10, d)  # left[a] taken from right[a-d]
-        disp = mask_argmax_disparity(m_rl, "rl")
-        assert np.all(disp[:, d:] == d)
+        disp = pair_disparity(mask_pair(np.zeros_like(m_rl), m_rl))
+        assert disp.shape == (2, 4, 10) and disp.dtype == np.int32
+        assert np.all(disp[0, :, d:] == d)
 
     def test_lr_direction(self):
         d = 2
         # right[b] copies left[b + d]: mask[i, b, b + d] = 1
         m_lr = one_hot_shift_mask(4, 10, -d)
-        disp = mask_argmax_disparity(m_lr, "lr")
-        assert np.all(disp[:, : 10 - d] == d)
+        disp = pair_disparity(mask_pair(m_lr, np.zeros_like(m_lr)))
+        assert np.all(disp[1, :, : 10 - d] == d)

@@ -330,6 +330,76 @@ class TestBatchMatmul:
         assert max(report.values()) < 1e-3
 
 
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)], ids=["4d", "5d"])
+    def test_stacks_match_per_matrix_products(self, rng, lead):
+        a = rng.normal(size=(*lead, 4, 5))
+        b = rng.normal(size=(*lead, 5, 3))
+        got = T.batch_matmul(Tensor(a), Tensor(b)).data
+        assert got.shape == (*lead, 4, 3)
+        for idx in np.ndindex(*lead):
+            np.testing.assert_allclose(got[idx], a[idx] @ b[idx], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 2, 3)], ids=["4d", "5d"])
+    def test_stack_gradients(self, rng, lead):
+        a = Tensor(rng.normal(size=(*lead, 3, 4)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.normal(size=(*lead, 4, 2)), requires_grad=True, dtype=np.float64)
+        report = check_gradients(
+            lambda: (T.batch_matmul(a, b) ** 2).sum(), [("a", a), ("b", b)],
+            elementwise=True,
+        )
+        assert max(report.values()) < 1e-3
+
+    def test_operand_of_a_swapped_view(self, rng):
+        """The cycle term's product of a pair with its own swap along axis 0."""
+        m = Tensor(rng.random((2, 3, 4, 4)), requires_grad=True, dtype=np.float64)
+        report = check_gradients(
+            lambda: (T.batch_matmul(m, m[::-1]) ** 2).sum(), [("m", m)], elementwise=True
+        )
+        assert max(report.values()) < 1e-3
+        got = T.batch_matmul(m, m[::-1]).data
+        np.testing.assert_allclose(got[0], m.data[0] @ m.data[1], rtol=1e-12)
+        np.testing.assert_allclose(got[1], m.data[1] @ m.data[0], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, message",
+        [
+            ((3, 4), (3, 4), "rank"),
+            ((2, 3, 4), (1, 2, 4, 5), "rank"),
+            ((2, 3, 4, 5), (2, 2, 5, 6), "batch dims"),
+            ((2, 2, 3, 4), (2, 2, 5, 6), "inner dims"),
+        ],
+    )
+    def test_shape_errors(self, a_shape, b_shape, message):
+        with pytest.raises(ValueError, match=message):
+            T.batch_matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+
+class TestTake:
+    def test_slice_shares_memory_with_its_input(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        for idx in (1, (slice(None), slice(None, -1)), slice(None, None, -1)):
+            out = a[idx]
+            assert np.shares_memory(out.data, a.data), idx
+            assert np.array_equal(out.data, a.data[idx])
+
+    def test_scalar_stays_zero_dimensional(self):
+        out = Tensor(np.array([1.5, 2.5]))[1]
+        assert isinstance(out.data, np.ndarray) and out.data.shape == ()
+        assert out.item() == 2.5
+
+    @pytest.mark.parametrize(
+        "idx", [1, (slice(None), slice(None, -1)), slice(None, None, -1)],
+        ids=["index", "slice", "reverse"],
+    )
+    def test_gradient_scatters_into_zeros(self, rng, idx):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=np.float64)
+        w = rng.normal(size=a.data[idx].shape)
+        (a[idx] * Tensor(w)).sum().backward()
+        want = np.zeros_like(a.data)
+        want[idx] = w
+        assert np.array_equal(a.grad, want)
+
+
 def composite_attention(q, k, scale):
     """The ops row_attention fuses, one direction at a time: batch_matmul, mul by
     scale, softmax of S^T (M_lr) and of S (M_rl)."""

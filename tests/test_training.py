@@ -190,6 +190,26 @@ class TestConfig:
     def test_fourteen_fields(self):
         assert len(fields(TrainConfig)) == 14
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["lr0", "alpha"])
+    def test_non_finite_rate_and_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' out of range"):
+            TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "key, raw, expects",
+        [
+            ("epochs", "1.5", "an integer"),
+            ("batch", "2.0", "an integer"),
+            ("seed", "", "an integer"),
+            ("lr0", "fast", "a number"),
+        ],
+    )
+    def test_unparsable_value_names_key_and_type(self, key, raw, expects):
+        with pytest.raises(ValueError) as info:
+            apply_config(TrainConfig(), {key: raw})
+        assert str(info.value) == f"config key '{key}' expects {expects}, got {raw!r}"
+
     def test_validation(self):
         with pytest.raises(ValueError, match="scale"):
             TrainConfig(scale=3).validate()
