@@ -25,12 +25,16 @@ from .model import masks_pair, pair_disparity, sr_pair
 OUT_DIR_ENV = "STEREOSR_OUT_DIR"
 
 
-def _parse_pair(text: str, caster, name: str):
-    for sep in ("x", ","):
-        if sep in text:
-            a, b = text.split(sep, 1)
-            return caster(a), caster(b)
-    raise argparse.ArgumentTypeError(f"{name} expects two values like 16x48, got {text!r}")
+def _parse_values(text: str, caster, flag: str, example: str):
+    """The values of ``flag``, as many as ``example`` holds, split at 'x' or ','."""
+    want = len(example.replace("x", ",").split(","))
+    parts = text.split("x" if "x" in text else ",")
+    try:
+        if len(parts) == want:
+            return tuple(caster(part) for part in parts)
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} expects {want} values like {example}, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,11 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    counts = tuple(int(x) for x in args.frames.split(","))
-    if len(counts) != 3:
-        raise ValueError("--frames expects train,val,test counts")
-    h, w = _parse_pair(args.size, int, "--size")
-    d_min, d_max = _parse_pair(args.disparity, float, "--disparity")
+    counts = _parse_values(args.frames, int, "--frames", "6,2,2")
+    h, w = _parse_values(args.size, int, "--size", "128x256")
+    d_min, d_max = _parse_values(args.disparity, float, "--disparity", "2,6")
     manifest = generate_dataset(
         args.out, args.seed, counts, h, w, (d_min, d_max), args.scale, args.channels
     )
@@ -129,7 +131,7 @@ def _cmd_eval(args) -> int:
     if args.method == "model":
         if not args.checkpoint:
             raise ValueError("--method model requires --checkpoint")
-        params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
+        params, _, _ = training.restore_checkpoint(args.checkpoint)
         if params.scale != args.scale:
             raise ValueError(
                 f"checkpoint was trained at scale {params.scale}, asked for {args.scale}"
@@ -165,7 +167,7 @@ def _load_pair(args, params) -> np.ndarray:
 
 
 def _cmd_sr(args) -> int:
-    params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
+    params, _, _ = training.restore_checkpoint(args.checkpoint)
     sr = sr_pair(params, _load_pair(args, params))
     save_image(args.out_left, sr[0])
     save_image(args.out_right, sr[1])
@@ -176,7 +178,7 @@ def _cmd_sr(args) -> int:
 def _cmd_dump_masks(args) -> int:
     if not np.isfinite(args.gain):
         raise ValueError(f"--gain must be finite, got {args.gain}")
-    params, _, _ = training.restore_model(training.load_checkpoint(args.checkpoint))
+    params, _, _ = training.restore_checkpoint(args.checkpoint)
     disps = pair_disparity(masks_pair(params, _load_pair(args, params)))
     for path, disp in zip((args.out_left, args.out_right), disps):
         gray = (128.0 + args.gain * disp) / 255.0
@@ -189,7 +191,9 @@ def _cmd_gradcheck(args) -> int:
     for flag, value in (("--eps", args.eps), ("--tolerance", args.tolerance)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
-    patch_h, patch_w = _parse_pair(args.patch, int, "--patch")
+    if not np.isfinite(args.alpha):
+        raise ValueError(f"--alpha must be finite, got {args.alpha}")
+    patch_h, patch_w = _parse_values(args.patch, int, "--patch", "6x12")
     report = full_model_gradcheck(
         scale=args.scale,
         channels=args.channels,

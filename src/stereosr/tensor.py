@@ -557,15 +557,16 @@ def _im2col(xp: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kH * kW, Ho * Wo)
 
 
-def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad [N,C,H,W] by ph rows / pw columns per side; crop where negative."""
+def _pad_hw(a: np.ndarray, ph: int, pw: int, spare_rows: int = 0) -> np.ndarray:
+    """Zero-pad [N,C,H,W] by ph rows / pw columns per side, crop where
+    negative, and add ``spare_rows`` zero rows at the bottom."""
     ch, cw = max(-ph, 0), max(-pw, 0)
     a = a[:, :, ch : a.shape[2] - ch, cw : a.shape[3] - cw]
     ph, pw = max(ph, 0), max(pw, 0)
-    if ph or pw:
+    if ph or pw or spare_rows:
         # zeros + copy: np.pad's per-call overhead is ~10x this on small maps
         N, C, H, W = a.shape
-        out = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=a.dtype)
+        out = np.zeros((N, C, H + 2 * ph + spare_rows, W + 2 * pw), dtype=a.dtype)
         out[:, :, ph : ph + H, pw : pw + W] = a
         a = out
     return a
@@ -607,38 +608,42 @@ def conv2d(
 
     def vjp(g):
         gb = g.sum(axis=(0, 2, 3))
-        # gathered again rather than kept: the graph holds no C*k^2*H*W buffer
-        cols = _im2col(_pad_hw(x.data, padding, padding), kH, kW, dilation)
-        g_mat = g.reshape(N, O, Ho * Wo)
-        gw = np.tensordot(g_mat, cols, axes=([0, 2], [0, 2]))
-        del cols
-        # Input pixel y takes tap ki's column gradient at output row
-        # y + padding - ki*dilation: window offset kH-1-ki once the column
-        # gradient is padded by dilation*(kH-1) - padding (cropped where that
-        # is negative). g itself is padded only along W, and the matmul writes
-        # into the padded rows: padding all of g first would widen the matmul
-        # by up to 2.7x at dilation 8, enough to tip small inputs into threaded
-        # BLAS, which stalls on a busy host.
+        # Weight gradient, one GEMM: the windows, gathered again rather than
+        # kept (the graph holds no C*k^2*Ho*Wo buffer), straight into a C-order
+        # [C*kH*kW, N*Ho*Wo] matrix, times g as [N*Ho*Wo, O]; the [C*kH*kW, O]
+        # product is returned transposed. Neither big operand is copied into
+        # a transposed layout, as np.tensordot would.
+        win = _windows(_pad_hw(x.data, padding, padding), kH, kW, dilation)
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(C * kH * kW, N * Ho * Wo)
+        g_rows = g.transpose(1, 0, 2, 3).reshape(O, N * Ho * Wo)
+        gw = (cols @ g_rows.T).T
+        del win, cols
+        # Input gradient, per sample one [C,O] x [O,H*Wp] GEMM per tap,
+        # accumulated (kn2row-aa, arXiv:1709.03395). Input pixel (y, x) takes
+        # tap (ki, kj) from g at (y + padding - ki*dilation, x + padding -
+        # kj*dilation). Once g is padded by dilation*(k-1) - padding per side
+        # (cropped where that is negative) to [Hp, Wp] = [H, W] +
+        # dilation*(k-1), that is flat offset y*Wp + x + off, with off below.
+        # So each tap reads one contiguous span of g's flattened rows. Its
+        # columns W..Wp-1 wrap into the next row and are cropped at the end,
+        # and a spare zero row keeps the first tap's span in bounds. The taps
+        # are added one by one in (ki, kj) order, which fixes the float
+        # rounding of the gradient. Each product is only [C, H*Wp], and the
+        # suite and the benchmark pin BLAS to one thread.
         qh, qw = dilation * (kH - 1) - padding, dilation * (kW - 1) - padding
-        gq = _pad_hw(g, min(qh, 0), qw)
-        Hq, Wp = gq.shape[2:]
-        ph = max(qh, 0)
-        dcols = np.zeros(
-            (N, C * kH * kW, Hq + 2 * ph, Wp), dtype=np.result_type(w_mat, g)
-        )
-        np.matmul(
-            w_mat.T,
-            gq.reshape(N, O, Hq * Wp),
-            out=dcols[:, :, ph : ph + Hq].reshape(N, C * kH * kW, Hq * Wp),
-        )
-        win = _windows(dcols.reshape(N, C, kH, kW, *dcols.shape[2:]), kH, kW, dilation)
-        # flipped, window offset kH-1-ki sits at index ki, so the diagonals
-        # pick each tap's own offset: a [N,C,H,W,kH,kW] view
-        win = win[..., ::-1, ::-1]
-        taps = np.diagonal(np.diagonal(win, axis1=2, axis2=6), axis1=2, axis2=5)
-        # the reduction adds the taps one by one in (ki, kj) order, which
-        # fixes the float rounding of the gradient
-        return taps.sum(axis=(4, 5)), gw.reshape(weight.shape), gb
+        gq = _pad_hw(g, qh, qw, spare_rows=1)
+        Wp = gq.shape[3]
+        flat = gq.reshape(N, O, -1)
+        w_taps = weight.data.transpose(2, 3, 1, 0)  # [kH, kW, C, O]
+        gx = np.zeros((N, C, H * Wp), dtype=np.result_type(weight.data, g))
+        tap = np.empty_like(gx)
+        for ki in range(kH):
+            for kj in range(kW):
+                off = dilation * ((kH - 1 - ki) * Wp + kW - 1 - kj)
+                np.matmul(w_taps[ki, kj], flat[:, :, off : off + H * Wp], out=tap)
+                gx += tap
+        gx = gx.reshape(N, C, H, Wp)[:, :, :, :W]
+        return gx, gw.reshape(weight.shape), gb
 
     return _make(out, (x, weight, bias), vjp, "conv2d")
 

@@ -232,7 +232,12 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
         while fh.tell() < size:
             what = "the first record" if name is None else f"the record after '{name}'"
             (name_len,) = read_u4(1, what)
-            name = read(name_len, what).decode("ascii")
+            try:
+                name = read(name_len, what).decode("ascii")
+            except UnicodeDecodeError:
+                raise ValueError(
+                    f"{path}: {what} of the checkpoint has a non-ASCII name"
+                ) from None
             what = f"record '{name}'"
             (rank,) = read_u4(1, what)
             shape = tuple(read_u4(rank, what))
@@ -318,6 +323,15 @@ def restore_model(ckpt: Dict[str, np.ndarray]) -> Tuple[ModelParams, AdamState, 
     return params, adam, meta
 
 
+def restore_checkpoint(path: str) -> Tuple[ModelParams, AdamState, Dict[str, float]]:
+    """``restore_model(load_checkpoint(path))``; a bad record's error names the file."""
+    ckpt = load_checkpoint(path)
+    try:
+        return restore_model(ckpt)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # ----------------------------------------------------------------------
 # training loop
 # ----------------------------------------------------------------------
@@ -370,7 +384,7 @@ def train(
     img_channels = patches[0].lr.shape[1]
 
     if resume:
-        params, adam, meta = restore_model(load_checkpoint(resume))
+        params, adam, meta = restore_checkpoint(resume)
         # seed and alpha as the checkpoint stores them
         run = dict(
             scale=cfg.scale, channels=cfg.channels, img_channels=img_channels,

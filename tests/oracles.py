@@ -72,25 +72,62 @@ def corrupted(blob, positions):
                 yield i, bytes(out)
 
 
-def checkpoint_sweep_positions(blob, head_limit=600):
-    """Byte positions of a checkpoint that the corruption sweeps overwrite.
-
-    These are the 12-byte header, the length, name, rank and shape bytes
-    of every record that starts within the first head_limit bytes, and
-    every byte of the trailing meta.* records.
-    """
-    positions = list(range(12))
+def checkpoint_records(blob):
+    """(name, record start, payload start, payload end) of every record."""
+    records = []
     at = 12
-    meta_start = None
     while at < len(blob):
         n = int(np.frombuffer(blob, "<u4", 1, at)[0])
         name = blob[at + 4 : at + 4 + n].decode("ascii")
         rank = int(np.frombuffer(blob, "<u4", 1, at + 4 + n)[0])
         shape = np.frombuffer(blob, "<u4", rank, at + 8 + n)
-        head_end = at + 8 + n + 4 * rank
-        if name.startswith("meta.") and meta_start is None:
-            meta_start = at
-        if at < head_limit:
-            positions.extend(p for p in range(at, head_end) if p < head_limit)
-        at = head_end + 4 * int(np.prod(shape))
+        payload = at + 8 + n + 4 * rank
+        end = payload + 4 * int(np.prod(shape))
+        records.append((name, at, payload, end))
+        at = end
+    return records
+
+
+def checkpoint_payload_floats(blob, prefix=""):
+    """Byte offsets of the first and the last float of the payload of every
+    record whose name starts with prefix."""
+    return [
+        off
+        for name, _, payload, end in checkpoint_records(blob)
+        if name.startswith(prefix)
+        for off in dict.fromkeys((payload, end - 4))
+    ]
+
+
+def checkpoint_sweep_positions(blob, head_limit=600):
+    """Byte positions of a checkpoint that the corruption sweeps overwrite.
+
+    These are the 12-byte header, the length, name, rank and shape bytes
+    of every record that starts within the first head_limit bytes, the
+    four bytes of the first and the last float of every param.* record's
+    payload, and every byte of the trailing meta.* records.
+    """
+    records = checkpoint_records(blob)
+    positions = list(range(12))
+    for _, at, payload, _ in records:
+        positions.extend(p for p in range(at, payload) if p < head_limit)
+    for off in checkpoint_payload_floats(blob, "param."):
+        positions.extend(range(off, off + 4))
+    meta_start = next(at for name, at, _, _ in records if name.startswith("meta."))
     return positions + list(range(meta_start, len(blob)))
+
+
+# float32 values written over a whole payload float by the non-finite sweeps
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def non_finite_floats(blob, offsets):
+    """Yield (offset, copy of blob with one float32 overwritten) per value.
+
+    The float at each offset is overwritten with NaN, +inf and -inf.
+    """
+    for off in offsets:
+        for value in NON_FINITE:
+            out = bytearray(blob)
+            out[off : off + 4] = np.array([value], dtype="<f4").tobytes()
+            yield off, bytes(out)

@@ -5,7 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from oracles import checkpoint_sweep_positions, corrupted
+from oracles import (
+    checkpoint_payload_floats,
+    checkpoint_sweep_positions,
+    corrupted,
+    non_finite_floats,
+)
 from stereosr import cli
 from stereosr.cli import main
 from stereosr.data import ManifestEntry, generate_dataset, synth_stereo, write_manifest
@@ -89,6 +94,18 @@ class TestGenData:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "(-1, 0, 0)" in err, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--size", "32"), ("--size", "32x"), ("--disparity", "2"), ("--frames", "a,1,1")],
+    )
+    def test_malformed_list_exits_1_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = str(tmp_path / "g")
+        code = main(["gen-data", "--out", out, f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {flag} expects ") and f"got {value!r}" in err, err
         assert not os.path.exists(out)
 
 
@@ -437,9 +454,30 @@ class TestSr:
             ])
             err = capsys.readouterr().err
             assert code in (0, 1), i
-            assert code == 0 or err.startswith("error: "), (i, err)
+            assert code == 0 or (err.startswith("error: ") and bad in err), (i, err)
             codes.add(code)
-        assert len(variants) > 100 and codes == {0, 1}
+        assert len(variants) > 200 and codes == {0, 1}
+
+    def test_non_finite_payload_exits_1_naming_the_file(self, checkpoint, tmp_path, capsys):
+        """NaN, +inf or -inf as the first or last float of any record, served."""
+        with open(checkpoint, "rb") as fh:
+            blob = fh.read()
+        image = str(tmp_path / "lr.pgm")
+        save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)[0].lr_left)
+        bad = str(tmp_path / "bad.bin")
+        out = str(tmp_path / "o1.pgm")
+        variants = list(non_finite_floats(blob, checkpoint_payload_floats(blob)))
+        for off, blob_i in variants:
+            with open(bad, "wb") as fh:
+                fh.write(blob_i)
+            code = main([
+                "sr", "--checkpoint", bad, "--left", image, "--right", image,
+                "--out-left", out, "--out-right", str(tmp_path / "o2.pgm"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 1 and not os.path.exists(out), off
+            assert err.startswith(f"error: {bad}: checkpoint record '"), (off, err)
+        assert len(variants) > 900
 
     def test_huge_image_header_exits_1(self, checkpoint, tmp_path, capsys):
         image = str(tmp_path / "huge.pgm")
@@ -538,6 +576,27 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and flag in err, err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "nan", "--alpha must be finite, got nan"),
+            ("--alpha", "inf", "--alpha must be finite, got inf"),
+            ("--alpha", "-inf", "--alpha must be finite, got -inf"),
+            ("--patch", "6", "--patch expects 2 values like 6x12, got '6'"),
+            ("--patch", "6xa", "--patch expects 2 values like 6x12, got '6xa'"),
+        ],
+    )
+    def test_bad_weight_or_patch_exits_1_before_any_model(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def no_check(**kwargs):
+            raise AssertionError("the gradient check ran")
+
+        monkeypatch.setattr(cli, "full_model_gradcheck", no_check)
+        code = main(["gradcheck", f"{flag}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestUsage:

@@ -39,6 +39,29 @@ def naive_conv2d(x, w, b, padding=0, dilation=1):
     return out
 
 
+def naive_conv2d_vjp(x, w, g, padding=0, dilation=1):
+    """Input, weight and bias gradients of naive_conv2d for the output
+    gradient g, scattered one output pixel and tap at a time in float64."""
+    h, wd = x.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    w = w.astype(np.float64)
+    g = g.astype(np.float64)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    o, ho, wo = g.shape[1:]
+    kh, kw = w.shape[2:]
+    for oi in range(o):
+        for yi in range(ho):
+            for xi in range(wo):
+                for ki in range(kh):
+                    for kj in range(kw):
+                        y, xx = yi + ki * dilation, xi + kj * dilation
+                        gxp[:, :, y, xx] += g[:, oi, yi, xi, None] * w[oi, :, ki, kj]
+                        gw[oi, :, ki, kj] += g[:, oi, yi, xi] @ xp[:, :, y, xx]
+    gx = gxp[:, :, padding : padding + h, padding : padding + wd]
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
 class TestConv2d:
     def test_all_ones_center(self):
         """3x3 ones against 3x3 ones kernel sums to 9 at the center."""
@@ -132,6 +155,61 @@ class TestConv2d:
             elementwise=True,
         )
         assert max(report.values()) < 1e-3
+
+    # (N, C, O, H, W, k, padding, dilation): 3x3 at dilation 1/4/8 with
+    # padding = dilation, padding 0, padding past the reach dilation*(k-1)
+    # (the input gradient crops g), 1x1 at C=24, one input channel, one
+    # output channel, N=1 and N=8, non-square maps
+    VJP_CASES = [
+        (2, 3, 4, 9, 11, 3, 1, 1),
+        (2, 3, 4, 9, 11, 3, 4, 4),
+        (1, 2, 3, 17, 19, 3, 8, 8),
+        (2, 3, 4, 9, 11, 3, 0, 1),
+        (2, 3, 4, 10, 13, 3, 0, 4),
+        (2, 3, 4, 7, 9, 3, 3, 1),
+        (1, 2, 2, 9, 10, 3, 9, 4),
+        (1, 24, 8, 5, 6, 1, 0, 1),
+        (2, 1, 4, 8, 12, 3, 1, 1),
+        (2, 3, 1, 8, 12, 3, 2, 2),
+        (8, 2, 3, 5, 13, 3, 1, 1),
+    ]
+
+    VJP_IDS = ["n{}c{}o{}-{}x{}-k{}p{}d{}".format(*case) for case in VJP_CASES]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", VJP_CASES, ids=VJP_IDS)
+    def test_vjp_matches_naive_oracle(self, rng, case, dtype):
+        """All three gradients against the scatter of naive_conv2d, each
+        within 1e-5 (float32) or 1e-12 (float64) of the array's max-abs; and
+        each comes back in the shape and dtype of its operand."""
+        n, c, o, h, w, k, padding, dilation = case
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+        b = rng.normal(size=o).astype(dtype)
+        out = T.conv2d(
+            Tensor(x, requires_grad=True), Tensor(wt), Tensor(b), padding, dilation
+        )
+        g = rng.normal(size=out.shape).astype(dtype)
+        got = out._vjp(g)
+        want = naive_conv2d_vjp(x, wt, g, padding, dilation)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for name, operand, gv, wv in zip("xwb", (x, wt, b), got, want):
+            assert gv.shape == operand.shape and gv.dtype == operand.dtype, name
+            err = np.abs(gv - wv).max() / np.abs(wv).max()
+            assert err <= tol, (name, err)
+
+    @pytest.mark.parametrize("case", VJP_CASES, ids=VJP_IDS)
+    def test_vjp_gradient_check(self, rng, case):
+        n, c, o, h, w, k, padding, dilation = case
+        x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True, dtype=np.float64)
+        wt = Tensor(rng.normal(size=(o, c, k, k)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.normal(size=o), requires_grad=True, dtype=np.float64)
+        g = Tensor(rng.normal(size=T.conv2d(x, wt, b, padding, dilation).shape))
+        report = check_gradients(
+            lambda: (T.conv2d(x, wt, b, padding, dilation) * g).sum(),
+            [("x", x), ("w", wt), ("b", b)],
+        )
+        assert max(report.values()) < 1e-6, report
 
     def test_input_gradient_adds_taps_in_order(self, rng):
         """float32 input gradient equals a tap-by-tap (ki, kj) scatter bit for bit.

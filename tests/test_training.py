@@ -6,7 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import checkpoint_sweep_positions, corrupted
+from oracles import (
+    checkpoint_payload_floats,
+    checkpoint_records,
+    checkpoint_sweep_positions,
+    corrupted,
+    non_finite_floats,
+)
 from stereosr import optim, training
 from stereosr.data import generate_dataset
 from stereosr.model import init_model
@@ -297,8 +303,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"truncated in the record after '{names[0]}' of"):
             load_checkpoint(path)
 
+    def test_non_ascii_record_name_names_the_file(self, rng, tmp_path):
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "n.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[16] = 0xFF  # first byte of the first record's name
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: the first record of the checkpoint has a non-ASCII name"
+
     def test_every_corruption_restores_or_raises_value_error(self, rng, tmp_path):
-        """One overwritten byte in the header, a record head or the meta records."""
+        """One overwritten byte in the header, a record head, the first or
+        last float of a parameter, or the meta records."""
         params = init_model(rng, 2, 4, 1)
         path = os.path.join(tmp_path, "c.bin")
         save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
@@ -315,6 +335,24 @@ class TestCheckpoint:
                 pass
             variants += 1
         assert variants >= 4 * len(positions) > 4 * 400
+
+    def test_non_finite_payload_float_names_the_record(self, rng, tmp_path):
+        """NaN, +inf or -inf as the first or last float of any record."""
+        params = init_model(rng, 2, 4, 1)
+        path = os.path.join(tmp_path, "f.bin")
+        save_checkpoint(path, params, adam_init(named_parameters(params)), 0, 0, 7, 0.005)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        records = checkpoint_records(blob)
+        owner = {off: name for name, _, payload, end in records for off in (payload, end - 4)}
+        seen = set()
+        for off, bad in non_finite_floats(blob, checkpoint_payload_floats(blob)):
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            with pytest.raises(ValueError, match=f"'{owner[off]}'"):
+                restore_model(load_checkpoint(path))
+            seen.add(owner[off])
+        assert len(seen) == len(records) > 150
 
     @pytest.fixture
     def ckpt(self, rng, tmp_path):
