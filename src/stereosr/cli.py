@@ -166,9 +166,20 @@ def _load_pair(args, params) -> np.ndarray:
     return np.stack([left, right])
 
 
+def _finite(values: np.ndarray, args, what: str) -> np.ndarray:
+    """values, checked before anything is written: finite weights can still
+    overflow, and a NaN would be written as black or read as disparity 0."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"{args.checkpoint}: the model gives non-finite {what} for this pair; "
+            "its weights overflow"
+        )
+    return values
+
+
 def _cmd_sr(args) -> int:
     params, _, _ = training.restore_checkpoint(args.checkpoint)
-    sr = sr_pair(params, _load_pair(args, params))
+    sr = _finite(sr_pair(params, _load_pair(args, params)), args, "SR images")
     save_image(args.out_left, sr[0])
     save_image(args.out_right, sr[1])
     print(f"wrote {args.out_left} and {args.out_right}")
@@ -179,7 +190,8 @@ def _cmd_dump_masks(args) -> int:
     if not np.isfinite(args.gain):
         raise ValueError(f"--gain must be finite, got {args.gain}")
     params, _, _ = training.restore_checkpoint(args.checkpoint)
-    disps = pair_disparity(masks_pair(params, _load_pair(args, params)))
+    masks = _finite(masks_pair(params, _load_pair(args, params)), args, "masks")
+    disps = pair_disparity(masks)
     for path, disp in zip((args.out_left, args.out_right), disps):
         gray = (128.0 + args.gain * disp) / 255.0
         save_image(path, gray[None].astype(np.float32))

@@ -51,12 +51,16 @@ def _read_token(fh) -> bytes:
         token += ch
 
 
+def check_left(path: str, n: int, left: int, what: str) -> None:
+    """Raise unless n bytes of ``what`` fit in the ``left`` bytes of the file."""
+    if n > left:
+        raise ValueError(f"{path}: truncated {what}, needs {n} bytes, {left} left")
+
+
 def read_exact(fh, path: str, n: int, what: str) -> bytes:
     """Read n bytes, checked against the file size first so a corrupt
     header never asks for a huge buffer."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise ValueError(f"{path}: truncated {what}, needs {n} bytes, {left} left")
+    check_left(path, n, os.fstat(fh.fileno()).st_size - fh.tell(), what)
     return fh.read(n)
 
 

@@ -9,7 +9,10 @@ its meaning across patch sizes. The composite objective is
 where dc compares trilinearly upsampled LR masks against the SR-scale
 masks, photo scores mask-warped cross-eye reconstruction, smoothness
 penalizes mask variation across rows and along the (column, match)
-diagonal, and cycle drives round-trip warps toward the identity.
+diagonal, and cycle drives round-trip warps toward the identity. dc is
+one engine op, ``tensor.consistency_gap``, which works the SR rows in
+blocks: the upsampled masks, their row sums, quotient and gap never
+exist in full, in the forward or in the backward.
 
 Every mask term takes a mask pair as one [2,N,H,W,W] tensor and works
 both directions in one call: index 0 is M_lr, which warps the left eye
@@ -114,16 +117,10 @@ def cycle_loss(masks: Tensor) -> Tensor:
 
 def disparity_consistency_loss(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
     """Mean squared gap between the SR masks and the trilinearly upsampled LR
-    masks, whose rows are rescaled back to sum 1."""
+    masks, whose rows are rescaled back to sum 1, summed over the two
+    directions (``tensor.consistency_gap``)."""
     check_mask_pair(masks_lr, "disparity_consistency_loss")
-    expect = tuple(masks_lr.shape[:-3]) + tuple(n * s for n in masks_lr.shape[-3:])
-    if tuple(masks_sr.shape) != expect:
-        raise ValueError(
-            f"SR mask shape {masks_sr.shape} does not match upsampled LR {expect}"
-        )
-    up = T.trilinear_upsample(masks_lr, s)
-    gap = up / up.sum(axis=-1, keepdims=True) - masks_sr
-    return _direction_means(gap**2).sum()
+    return T.consistency_gap(masks_lr, masks_sr, s).sum()
 
 
 def total_loss(

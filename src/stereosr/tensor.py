@@ -13,11 +13,18 @@ Conventions:
   * the graph is rebuilt on every forward pass (define-by-run).
   * an op allocates only its output; state needed only by the backward
     pass is built inside the vjp from the parents' data.
-  * ``row_attention`` works its rows in blocks and returns one [2,B,W,W]
-    tensor holding both softmax directions, so attention holds its two
-    masks and never a full score volume. A served pair therefore holds two
-    full [B,W,W] arrays, not three; the masks themselves remain full-size
-    because ``model.super_resolve`` returns them.
+  * two ops work their rows in blocks of ``_BLOCK_BYTES`` and equal the
+    unfused ops bit for bit, gradients included:
+    - ``row_attention`` returns one [2,B,W,W] tensor holding both softmax
+      directions, so attention holds its two masks and never a full score
+      volume. A served pair therefore holds two full [B,W,W] arrays, not
+      three; the masks themselves remain full-size because
+      ``model.super_resolve`` returns them.
+    - ``consistency_gap`` is the disparity constraint: it upsamples the LR
+      masks, renormalises their rows and squares their gap to the SR masks
+      one block of rows at a time, and its vjp recomputes each block. A
+      training step therefore holds no full upsampled, quotient or gap
+      array, only the SR masks and their gradient.
 """
 
 from __future__ import annotations
@@ -456,9 +463,9 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (_softmax_grad(g, y),), "softmax_lastdim")
 
 
-# Bytes of scores that ``row_attention`` handles per block of rows: the block
-# and its transpose stay in cache while the two softmaxes run.
-_ATTENTION_BLOCK_BYTES = 1 << 20
+# Bytes of rows that a blocked op (``row_attention``, ``consistency_gap``)
+# works at once: a block and its temporaries stay in cache.
+_BLOCK_BYTES = 1 << 20
 
 
 def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
@@ -468,7 +475,7 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     index 0 is softmax(S^T), index 1 is softmax(S), both over the last axis.
     Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of S and
     of S^T bit for bit, gradients included, but the rows are worked in
-    blocks of ``_ATTENTION_BLOCK_BYTES``: both directions are written in
+    blocks of ``_BLOCK_BYTES``: both directions are written in
     place into the output buffer and no full score volume is ever held.
     """
     if (
@@ -484,7 +491,7 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     buf = np.empty((2, B, W, W), dtype=np.result_type(q, k))
     m_lr, m_rl = buf
     scale = np.asarray(scale, dtype=buf.dtype)
-    step = max(1, _ATTENTION_BLOCK_BYTES // max(W * W * buf.itemsize, 1))
+    step = max(1, _BLOCK_BYTES // max(W * W * buf.itemsize, 1))
     for r in range(0, B, step):
         rows = slice(r, r + step)
         s = m_rl[rows]
@@ -711,6 +718,109 @@ def trilinear_upsample(volume: Tensor, s: int) -> Tensor:
         return (g,)
 
     return _make(np.ascontiguousarray(out), (volume,), vjp, "trilinear_upsample")
+
+
+def _support(M: np.ndarray, r0: int, r1: int):
+    """First and past-the-last column of the nonzero entries of M[r0:r1]."""
+    cols = np.flatnonzero(M[r0:r1].any(axis=0))
+    return int(cols[0]), int(cols[-1]) + 1
+
+
+def _row_blocks(n: int, step: int):
+    """Ranges of max(step, 2) rows, the last up to one more, that cover
+    range(n); none is a lone row unless n == 1. On one row, numpy hands a
+    matmul to another BLAS routine, or to BLAS rather than its own loop,
+    and either rounds differently from the unblocked op."""
+    starts = list(range(0, n, max(step, 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _upsample_rows(vol: np.ndarray, Mh: np.ndarray, Mw: np.ndarray, r0: int, r1: int):
+    """Rows r0:r1 of ``trilinear_upsample`` of one [h,w,w] volume, read from the
+    LR rows in their support, by the same matmul calls, so the same bits."""
+    a0, a1 = _support(Mh, r0, r1)
+    out = _apply_matrix_along_axis(Mh[r0:r1, a0:a1], vol[a0:a1], -3)
+    out = _apply_matrix_along_axis(Mw, out, -2)
+    return _apply_matrix_along_axis(Mw, out, -1)
+
+
+def consistency_gap(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
+    """Per-direction means of (up / up.sum(-1) - masks_sr)^2, where up is the
+    trilinear upsample of masks_lr by the integer factor s.
+
+    Takes a [D,N,h,w,w] LR pair and a [D,N,sh,sw,sw] SR pair; returns [D].
+    Equals ``trilinear_upsample``, the row renormalisation, the squared gap
+    and a mean over each direction bit for bit, gradients included, but no
+    full upsampled, quotient or gap array exists. The forward works blocks
+    of ``_BLOCK_BYTES`` of SR rows, each from the LR rows in its support.
+    The vjp works blocks of LR rows and recomputes the SR rows that each
+    block reads, a halo of a row or two included.
+    """
+    s = int(s)
+    if masks_lr.ndim != 5 or s < 1:
+        raise ValueError(
+            f"consistency_gap expects a [D,N,h,w,w] LR pair and s >= 1, got {masks_lr.shape}, s={s}"
+        )
+    D, N, h, w, _ = masks_lr.shape
+    sh, sw = h * s, w * s
+    if masks_sr.shape != (D, N, sh, sw, sw):
+        raise ValueError(
+            f"SR mask shape {masks_sr.shape} does not match upsampled LR {(D, N, sh, sw, sw)}"
+        )
+    if masks_sr.dtype != masks_lr.dtype:
+        raise ValueError(
+            f"consistency_gap expects one dtype, got {masks_lr.dtype} and {masks_sr.dtype}"
+        )
+    lr = masks_lr.data.reshape(D * N, h, w, w)
+    sr = masks_sr.data.reshape(D * N, sh, sw, sw)
+    Mh = resampling_matrix(h, sh, _triangle_kernel, masks_lr.dtype)
+    Mw = resampling_matrix(w, sw, _triangle_kernel, masks_lr.dtype)
+    rows = max(1, _BLOCK_BYTES // max(sw * sw * sr.itemsize, 1))
+
+    # the squares are summed as one array, as a mean over each direction
+    # sums them, so the sum rounds the same
+    sq = np.empty_like(sr)
+    for b in range(D * N):
+        for r0, r1 in _row_blocks(sh, rows):
+            up = _upsample_rows(lr[b], Mh, Mw, r0, r1)
+            gap = np.divide(up, up.sum(axis=-1, keepdims=True), out=up)
+            gap -= sr[b, r0:r1]
+            np.square(gap, out=sq[b, r0:r1])
+    inv_count = np.asarray(1.0 / max(N * sh * sw * sw, 1), dtype=sq.dtype)
+    means = sq.reshape(D, -1).sum(axis=1) * inv_count
+
+    def vjp(g):
+        # the vjp chain of the unfused ops, element for element: the mean,
+        # the square, the subtraction, the quotient, then the transposed
+        # upsample along H, W and W
+        k = g * inv_count * 2.0
+        g_lr = np.empty(lr.shape, np.result_type(lr, g))
+        g_sr = np.empty(sr.shape, np.result_type(sr, g))
+        for b in range(D * N):
+            # LR rows whose SR rows, halos aside, make one forward block
+            for a0, a1 in _row_blocks(h, max(1, rows // s)):
+                r0, r1 = _support(Mh.T, a0, a1)
+                up = _upsample_rows(lr[b], Mh, Mw, r0, r1)
+                S = up.sum(axis=-1, keepdims=True)
+                gg = up / S
+                gg -= sr[b, r0:r1]
+                gg *= k[b // N]
+                g_sr_rows = np.negative(gg, out=g_sr[b, r0:r1])
+                # the quotient's vjp: gg / S + sum(-gg * up / (S * S)), in
+                # place; -gg * up is g_sr * up, since negation is exact
+                gs = np.multiply(up, g_sr_rows, out=up)
+                gs /= S * S
+                g_up = np.divide(gg, S, out=gg)
+                g_up += gs.sum(axis=-1, keepdims=True)
+                del up, gs
+                out = _apply_matrix_along_axis(Mh[r0:r1, a0:a1].T, g_up, -3)
+                out = _apply_matrix_along_axis(Mw.T, out, -2)
+                g_lr[b, a0:a1] = _apply_matrix_along_axis(Mw.T, out, -1)
+        return g_lr.reshape(masks_lr.shape), g_sr.reshape(masks_sr.shape)
+
+    return _make(means, (masks_lr, masks_sr), vjp, "consistency_gap")
 
 
 def pixel_shuffle(x: Tensor, s: int) -> Tensor:

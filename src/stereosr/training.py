@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .data import SCALES, augment, manifest_frames, manifest_patches
-from .imageio import read_exact
+from .imageio import check_left
 from .losses import CSV_HEADER, compute_losses
 from .metrics import psnr, ssim
 from .model import (
@@ -214,35 +214,39 @@ def load_checkpoint(path: str) -> Dict[str, np.ndarray]:
         raise FileNotFoundError(f"checkpoint not found: {path}")
     out: Dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        buf = memoryview(fh.read())
+    pos = 0
 
-        def read(n: int, what: str) -> bytes:
-            return read_exact(fh, path, n, f"in {what} of the checkpoint")
+    def read(n: int, what: str) -> memoryview:
+        nonlocal pos
+        check_left(path, n, len(buf) - pos, f"in {what} of the checkpoint")
+        pos += n
+        return buf[pos - n : pos]
 
-        def read_u4(count: int, what: str) -> List[int]:
-            return np.frombuffer(read(4 * count, what), dtype="<u4").tolist()
+    def read_u4(count: int, what: str) -> List[int]:
+        return np.frombuffer(read(4 * count, what), dtype="<u4").tolist()
 
-        magic = read(len(CKPT_MAGIC), "the header")
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = read_u4(1, "the header")
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        name = None
-        while fh.tell() < size:
-            what = "the first record" if name is None else f"the record after '{name}'"
-            (name_len,) = read_u4(1, what)
-            try:
-                name = read(name_len, what).decode("ascii")
-            except UnicodeDecodeError:
-                raise ValueError(
-                    f"{path}: {what} of the checkpoint has a non-ASCII name"
-                ) from None
-            what = f"record '{name}'"
-            (rank,) = read_u4(1, what)
-            shape = tuple(read_u4(rank, what))
-            payload = read(4 * math.prod(shape), what)
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    magic = bytes(read(len(CKPT_MAGIC), "the header"))
+    if magic != CKPT_MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    (version,) = read_u4(1, "the header")
+    if version != CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    name = None
+    while pos < len(buf):
+        what = "the first record" if name is None else f"the record after '{name}'"
+        (name_len,) = read_u4(1, what)
+        try:
+            name = bytes(read(name_len, what)).decode("ascii")
+        except UnicodeDecodeError:
+            raise ValueError(
+                f"{path}: {what} of the checkpoint has a non-ASCII name"
+            ) from None
+        what = f"record '{name}'"
+        (rank,) = read_u4(1, what)
+        shape = tuple(read_u4(rank, what))
+        payload = read(4 * math.prod(shape), what)
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return out
 
 

@@ -505,6 +505,32 @@ def test_channel_mismatch_exits_1(checkpoint, tmp_path, capsys, command):
     assert err.startswith("error: ") and "model expects 1-channel images, got 3" in err, err
 
 
+@pytest.mark.parametrize("command", ["sr", "dump-masks"])
+def test_overflowing_weight_exits_1_naming_the_checkpoint(checkpoint, tmp_path, capsys, command):
+    """A finite entry weight near the float32 maximum passes restore_model, but
+    the forward overflows to NaN: nothing is written (NaN would be black
+    pixels, or disparity 0 after the argmax)."""
+    with open(checkpoint, "rb") as fh:
+        blob = bytearray(fh.read())
+    name = b"param.extractor.entry.weight"
+    at = blob.index(name) + len(name) + 4 + 16  # past rank and four extents
+    blob[at : at + 4] = np.array([3.4e38], dtype="<f4").tobytes()
+    bad = str(tmp_path / "huge.bin")
+    with open(bad, "wb") as fh:
+        fh.write(blob)
+    image = str(tmp_path / "lr.pgm")
+    save_image(image, synth_stereo(0, 16, 32, (1.0, 1.0), scale=2)[0].lr_left)
+    out_l, out_r = str(tmp_path / "o1.pgm"), str(tmp_path / "o2.pgm")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([
+            command, "--checkpoint", bad, "--left", image, "--right", image,
+            "--out-left", out_l, "--out-right", out_r,
+        ])
+    err = capsys.readouterr().err
+    assert code == 1 and not os.path.exists(out_l) and not os.path.exists(out_r)
+    assert err.startswith(f"error: {bad}: the model gives non-finite"), err
+
+
 class TestDumpMasks:
     def test_writes_disparity_images(self, dataset, checkpoint, tmp_path):
         root, _ = dataset

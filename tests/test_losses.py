@@ -1,5 +1,7 @@
 """Loss components against direct-formula oracles and hand enumerations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ class TestDisparityConsistency:
         sr_bad = Tensor(np.zeros((2, 1, 4, 5, 5)))
         with pytest.raises(ValueError, match="does not match"):
             disparity_consistency_loss(lr, sr_bad, 2)
+
+    def test_desk_batch_holds_no_full_intermediate(self, rng):
+        """Forward plus backward at the desk batch (8 patches of 16x48, x2)
+        traces under three SR mask pairs: the SR gradient and the leaf's
+        accumulated copy of it, then blocks. The unfused upsample, row sums,
+        quotient, gap and square, and their gradients, traced eight pairs."""
+        lr = rng.random((2, 8, 16, 48, 48)).astype(np.float32)
+        sr = rng.random((2, 8, 32, 96, 96)).astype(np.float32)
+        lr = Tensor(lr / lr.sum(-1, keepdims=True), requires_grad=True)
+        sr = Tensor(sr / sr.sum(-1, keepdims=True), requires_grad=True)
+        tracemalloc.start()
+        try:
+            disparity_consistency_loss(lr, sr, 2).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sr.data.nbytes, peak / sr.data.nbytes
 
 
 class TestPhotometric:

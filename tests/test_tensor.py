@@ -487,7 +487,7 @@ def composite_attention(q, k, scale):
 
 
 _ROW_BYTES = 64 * 64 * 4
-_WIDE_W = int(np.sqrt(T._ATTENTION_BLOCK_BYTES / 4)) + 1
+_WIDE_W = int(np.sqrt(T._BLOCK_BYTES / 4)) + 1
 
 
 class TestRowAttention:
@@ -501,7 +501,7 @@ class TestRowAttention:
             (48, 320, 8),
             (8 * 16, 48, 8),
             (8 * 32, 96, 8),
-            (T._ATTENTION_BLOCK_BYTES // _ROW_BYTES + 7, 64, 4),
+            (T._BLOCK_BYTES // _ROW_BYTES + 7, 64, 4),
             (3, _WIDE_W, 4),
         ],
         ids=[
@@ -617,6 +617,92 @@ class TestTrilinearUpsample:
             elementwise=True,
         )
         assert max(report.values()) < 1e-3
+
+
+def unfused_consistency_gap(masks_lr, masks_sr, s):
+    """The ops consistency_gap fuses: upsample, renormalise the rows, square
+    the gap to the SR masks, and take the mean over each direction."""
+    up = T.trilinear_upsample(masks_lr, s)
+    gap = up / up.sum(axis=-1, keepdims=True) - masks_sr
+    return (gap**2).reshape(masks_lr.shape[0], -1).mean(axis=1)
+
+
+def random_mask_pairs(rng, n, h, w, s, dtype):
+    """Positive LR and SR mask pairs whose rows sum to 1, as softmax gives."""
+    pairs = []
+    for shape in ((2, n, h, w, w), (2, n, h * s, w * s, w * s)):
+        m = rng.random(shape) ** 3
+        pairs.append((m / m.sum(-1, keepdims=True)).astype(dtype))
+    return pairs
+
+
+def gap_value_and_grads(fn, lr0, sr0, s):
+    """Value and both mask gradients of fn, weighted unequally per direction."""
+    lr = Tensor(lr0.copy(), requires_grad=True)
+    sr = Tensor(sr0.copy(), requires_grad=True)
+    out = fn(lr, sr, s)
+    (out * Tensor(np.array([0.37, -1.3], dtype=lr0.dtype))).sum().backward()
+    return out.data, lr.grad, sr.grad
+
+
+class TestConsistencyGap:
+    # (N, h, w, s): the desk batch, one full-recipe patch at x2 and x4, and
+    # small, odd-height, odd-factor and one-row geometries
+    GEOMETRIES = [
+        (8, 16, 48, 2), (1, 30, 90, 2), (1, 30, 90, 4), (2, 5, 7, 2), (3, 4, 9, 4),
+        (1, 1, 3, 2), (4, 12, 20, 4), (2, 7, 5, 3),
+    ]
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["default-blocks", "one-row-blocks"])
+    @pytest.mark.parametrize("n,h,w,s", GEOMETRIES)
+    def test_float32_equals_the_unfused_ops_bitwise(
+        self, rng, monkeypatch, n, h, w, s, one_row_blocks
+    ):
+        lr0, sr0 = random_mask_pairs(rng, n, h, w, s, np.float32)
+        want = gap_value_and_grads(unfused_consistency_gap, lr0, sr0, s)
+        if one_row_blocks:
+            # every block one SR row (raised to two), so every LR block has halos
+            monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        got = gap_value_and_grads(T.consistency_gap, lr0, sr0, s)
+        for g, wnt in zip(got, want):
+            assert g.shape == wnt.shape and g.dtype == wnt.dtype
+            np.testing.assert_array_equal(g, wnt)
+
+    @pytest.mark.parametrize("n,h,w,s", GEOMETRIES)
+    def test_float64_agrees_with_the_unfused_ops(self, rng, n, h, w, s):
+        lr0, sr0 = random_mask_pairs(rng, n, h, w, s, np.float64)
+        want = gap_value_and_grads(unfused_consistency_gap, lr0, sr0, s)
+        got = gap_value_and_grads(T.consistency_gap, lr0, sr0, s)
+        for g, wnt in zip(got, want):
+            np.testing.assert_allclose(g, wnt, rtol=0, atol=1e-12 * np.abs(wnt).max())
+
+    def test_gradient_float64(self, rng, monkeypatch):
+        monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+        lr0, sr0 = random_mask_pairs(rng, 1, 3, 3, 2, np.float64)
+        lr = Tensor(lr0, requires_grad=True)
+        sr = Tensor(sr0, requires_grad=True)
+        weights = Tensor(np.array([0.37, -1.3]))
+        report = check_gradients(
+            lambda: (T.consistency_gap(lr, sr, 2) * weights).sum(),
+            [("lr", lr), ("sr", sr)],
+            elementwise=True,
+        )
+        assert max(report.values()) < 1e-6
+
+    @pytest.mark.parametrize(
+        "lr_shape,sr_shape,sr_dtype",
+        [
+            ((2, 1, 2, 3, 3), (2, 1, 4, 5, 5), np.float32),
+            ((2, 1, 2, 3, 3), (2, 2, 4, 6, 6), np.float32),
+            ((1, 2, 3, 3), (1, 4, 6, 6), np.float32),
+            ((2, 1, 2, 3, 3), (2, 1, 4, 6, 6), np.float64),
+        ],
+    )
+    def test_shape_or_dtype_mismatch_rejected(self, lr_shape, sr_shape, sr_dtype):
+        with pytest.raises(ValueError, match="does not match|expects"):
+            T.consistency_gap(
+                Tensor(np.zeros(lr_shape, np.float32)), Tensor(np.zeros(sr_shape, sr_dtype)), 2
+            )
 
 
 class TestPixelShuffle:
