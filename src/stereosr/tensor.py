@@ -13,12 +13,17 @@ Conventions:
   * the graph is rebuilt on every forward pass (define-by-run).
   * an op allocates only its output; state needed only by the backward
     pass is built inside the vjp from the parents' data.
-  * two ops work their rows in blocks of ``_BLOCK_BYTES`` and equal the
-    unfused ops bit for bit, gradients included:
+  * three ops work their rows in blocks sized from one constant,
+    ``_BLOCK_BYTES``, and equal their unblocked form bit for bit:
+    - ``conv2d``'s forward gathers and multiplies the windows of one block
+      of output rows at a time, so no full window matrix exists. Its
+      forward's comment gives the conditions under which BLAS rounds a
+      block as it rounds the whole map; every conv of the model meets them.
     - ``row_attention`` returns one [2,B,W,W] tensor holding both softmax
       directions, so attention holds its two masks and never a full score
-      volume. A served pair therefore holds two full [B,W,W] arrays, not
-      three; the masks themselves remain full-size because
+      volume; its vjp works the same blocks, so no full score gradient
+      exists either. A served pair therefore holds two full [B,W,W] arrays,
+      not three; the masks themselves remain full-size because
       ``model.super_resolve`` returns them.
     - ``consistency_gap`` is the disparity constraint: it upsamples the LR
       masks, renormalises their rows and squares their gap to the SR masks
@@ -30,6 +35,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -86,7 +92,7 @@ class Tensor:
         grad: accumulated gradient for leaf tensors, or None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_seq")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -99,6 +105,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
+        self._op = None
         self._seq = _next_seq()
 
     # ------------------------------------------------------------------
@@ -156,11 +163,19 @@ class Tensor:
                 g = grads.pop(id(node))
                 if node.requires_grad:
                     if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
+                        # a fresh array in the leaf's dtype, never g itself (a
+                        # vjp may hand one array to two parents); + 0.0 turns
+                        # -0.0 into +0.0, as adding into zeros did
+                        node.grad = np.add(g, 0.0, out=np.empty_like(node.data))
+                    else:
+                        node.grad += g
                 continue
             # no reference is kept here, so a vjp frees g once done with it
             parent_grads = node._vjp(grads.pop(id(node)))
+            if _nan_checks and not all(
+                pg is None or np.all(np.isfinite(pg)) for pg in parent_grads
+            ):
+                raise FloatingPointError(f"non-finite gradient from the vjp of {node._op}")
             for parent, pg in zip(node._parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
@@ -240,6 +255,7 @@ def _make(data: np.ndarray, parents, vjp, opname: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._op = opname
     out._seq = _next_seq()
     if _grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -463,8 +479,8 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(y, (a,), lambda g: (_softmax_grad(g, y),), "softmax_lastdim")
 
 
-# Bytes of rows that a blocked op (``row_attention``, ``consistency_gap``)
-# works at once: a block and its temporaries stay in cache.
+# Bytes of rows that a blocked op (``row_attention``, ``consistency_gap``,
+# ``conv2d``) works at once: a block and its temporaries stay in cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -476,7 +492,8 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of S and
     of S^T bit for bit, gradients included, but the rows are worked in
     blocks of ``_BLOCK_BYTES``: both directions are written in
-    place into the output buffer and no full score volume is ever held.
+    place into the output buffer and no full score volume is ever held,
+    nor, in the vjp, a full score gradient.
     """
     if (
         q_rows.ndim != 3
@@ -502,12 +519,20 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
         _softmax_(m_lr[rows])
 
     def vjp(g):
-        # the score gradient g_rl + g_lr^T, summed in place so that no more
-        # than two [B,W,W] arrays exist besides g
-        gs = _softmax_grad(g[1], m_rl)
-        gs += _softmax_grad(g[0], m_lr).transpose(0, 2, 1)
-        gs *= scale
-        return np.matmul(gs, k.transpose(0, 2, 1)), np.matmul(q.transpose(0, 2, 1), gs)
+        # the score gradient g_rl + g_lr^T, one block of the forward's rows
+        # at a time: each [W,W] slice is independent, so no full score
+        # gradient or softmax-gradient temporary exists
+        dtype = np.result_type(g, buf, q, k)
+        gq, gk = np.empty(q.shape, dtype), np.empty(k.shape, dtype)
+        for r in range(0, B, step):
+            rows = slice(r, r + step)
+            gs = _softmax_grad(g[1, rows], m_rl[rows])
+            gs += _softmax_grad(g[0, rows], m_lr[rows]).transpose(0, 2, 1)
+            gs *= scale
+            np.matmul(gs, k[rows].transpose(0, 2, 1), out=gq[rows])
+            np.matmul(q[rows].transpose(0, 2, 1), gs, out=gk[rows])
+            del gs
+        return gq, gk
 
     return _make(buf, (q_rows, k_rows), vjp, "row_attention")
 
@@ -556,12 +581,9 @@ def _windows(a: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
     )
 
 
-def _im2col(xp: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
-    """[N, C*kH*kW, Ho*Wo] matrix of every dilated kH x kW window of ``xp``."""
-    N, C = xp.shape[:2]
-    win = _windows(xp, kH, kW, dilation)
-    Ho, Wo = win.shape[2:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C * kH * kW, Ho * Wo)
+# Columns per block group of conv2d's GEMMs: a multiple of the column groups
+# of OpenBLAS's GEMM kernels (16 in float32, 8 in float64).
+_GEMM_COLUMNS = 64
 
 
 def _pad_hw(a: np.ndarray, ph: int, pw: int, spare_rows: int = 0) -> np.ndarray:
@@ -607,10 +629,45 @@ def conv2d(
             "does not yield positive output extents"
         )
 
+    # Per sample, one GEMM per block of output rows. The block's windows are
+    # gathered into a C-order [C*kH*kW, rows*Wo] matrix that stays in L2
+    # while the GEMM reads it, and the product goes straight into the
+    # block's columns of the output; no [C*kH*kW, Ho*Wo] window matrix
+    # (9.4 MB for a 32-channel 64x128 conv) is gathered. A window block is
+    # half of _BLOCK_BYTES: on a 2 MiB L2 that was faster than a whole one,
+    # while the other blocked ops were slower at half.
+    #
+    # Each output column is the same dot product as in one GEMM over all
+    # columns, so the bits do not depend on the block size as long as BLAS
+    # computes every column with the same kernel. OpenBLAS works columns in
+    # groups and computes a ragged last group, or a lone column (numpy hands
+    # that to gemv), with kernels chosen by the shape of the whole product.
+    # So a block is a whole number of _GEMM_COLUMNS columns, and a map whose
+    # Ho*Wo is not is one block. So is a conv with one output channel, which
+    # numpy computes by gemv, whose float32 kernel changes above 16384
+    # columns; and a 1x1 conv, whose block is a view of the input with
+    # nothing to gather. Checked bit for bit against one GEMM on OpenBLAS
+    # 0.3.31 for depths C*kH*kW up to 288, the model's deepest; a deeper
+    # block with few output channels can fall to OpenBLAS's small-matrix
+    # kernel and round differently.
     w_mat = weight.data.reshape(O, C * kH * kW)
-    cols = _im2col(_pad_hw(x.data, padding, padding), kH, kW, dilation)
-    out = np.matmul(w_mat, cols).reshape(N, O, Ho, Wo)
-    del cols
+    win = _windows(_pad_hw(x.data, padding, padding), kH, kW, dilation)
+    out = np.empty((N, O, Ho, Wo), dtype=np.result_type(w_mat, win))
+    out_cols = out.reshape(N, O, Ho * Wo)
+    if kH * kW == 1 or O == 1 or Ho * Wo % _GEMM_COLUMNS:
+        step = Ho
+    else:
+        unit = _GEMM_COLUMNS // math.gcd(Wo, _GEMM_COLUMNS)
+        rows = _BLOCK_BYTES // 2 // (C * kH * kW * Wo * out.itemsize)
+        step = max(unit, rows // unit * unit)
+    for n in range(N):
+        for r in range(0, Ho, step):
+            block = win[n, :, r : r + step].transpose(0, 3, 4, 1, 2)
+            np.matmul(
+                w_mat,
+                block.reshape(C * kH * kW, -1),
+                out=out_cols[n, :, r * Wo : (r + step) * Wo],
+            )
     out += bias.data.reshape(1, O, 1, 1)
 
     def vjp(g):

@@ -211,6 +211,57 @@ class TestConv2d:
         )
         assert max(report.values()) < 1e-6, report
 
+    # VJP_CASES, then maps that split into several row blocks at the least
+    # block size (Ho*Wo a whole number of 64-column groups): 4-row blocks,
+    # 8-row blocks at dilation 4, one-column rows (Wo == 1) and a desk-sized
+    # dilated map; last, one output channel, which stays one block
+    BLOCK_CASES = VJP_CASES + [
+        (2, 3, 4, 16, 16, 3, 1, 1),
+        (1, 2, 3, 16, 40, 3, 4, 4),
+        (1, 3, 4, 130, 3, 3, 0, 1),
+        (1, 4, 4, 16, 48, 3, 8, 8),
+        (2, 3, 1, 16, 16, 3, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "case", BLOCK_CASES, ids=["n{}c{}o{}-{}x{}-k{}p{}d{}".format(*c) for c in BLOCK_CASES]
+    )
+    def test_forward_does_not_depend_on_the_block_size(self, rng, monkeypatch, case, dtype):
+        """The forward at the least block size equals one block over the whole
+        map byte for byte, and both match the loop oracle."""
+        n, c, o, h, w, k, padding, dilation = case
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+        b = rng.normal(size=o).astype(dtype)
+        outs = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+            outs.append(T.conv2d(Tensor(x), Tensor(wt), Tensor(b), padding, dilation).data)
+        assert outs[0].dtype == outs[1].dtype == dtype
+        assert outs[0].tobytes() == outs[1].tobytes()
+        want = naive_conv2d(x, wt, b, padding, dilation)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert np.abs(outs[0] - want).max() <= tol * np.abs(want).max()
+
+    def test_forward_peak_holds_no_window_matrix(self, rng):
+        """A 32-channel 64x128 3x3 conv peaks at its output, the padded input
+        and a window block, far below the 9.4 MB [C*9, Ho*Wo] window matrix."""
+        x = Tensor(rng.normal(size=(1, 32, 64, 128)), dtype=np.float32)
+        w = Tensor(rng.normal(size=(32, 32, 3, 3)), dtype=np.float32)
+        b = Tensor(np.zeros(32), dtype=np.float32)
+        padded = 32 * 66 * 130 * 4
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = T.conv2d(x, w, b, padding=1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak <= out.data.nbytes + padded + T._BLOCK_BYTES + 64 * 1024
+
     def test_input_gradient_adds_taps_in_order(self, rng):
         """float32 input gradient equals a tap-by-tap (ki, kj) scatter bit for bit.
 
@@ -558,6 +609,23 @@ class TestRowAttention:
                 tracemalloc.stop()
         assert peak <= masks.data.nbytes + 64 * 1024
 
+    def test_vjp_peak_is_a_block_and_the_gradients(self, rng):
+        """The vjp holds q's and k's gradients and the score gradient of one
+        block of rows, never a full [B,W,W] score gradient."""
+        q = Tensor(rng.normal(size=(16, 256, 8)), requires_grad=True, dtype=np.float32)
+        k = Tensor(rng.normal(size=(16, 8, 256)), requires_grad=True, dtype=np.float32)
+        masks = T.row_attention(q, k, 0.125)
+        g = rng.normal(size=masks.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gq, gk = masks._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= gq.nbytes + gk.nbytes + 2 * T._BLOCK_BYTES + 64 * 1024
+
     @pytest.mark.parametrize(
         "q_shape,k_shape",
         [((2, 5, 3), (2, 5, 3)), ((2, 5, 3), (3, 3, 5)), ((5, 3), (3, 5)), ((2, 5, 3), (2, 3, 4))],
@@ -760,6 +828,31 @@ class TestBackward:
         (p * p + p).sum().backward()
         np.testing.assert_allclose(p.grad, [7.0])
 
+    def test_fresh_leaf_gradient_has_no_negative_zero(self):
+        p = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        (p * Tensor(np.array([-0.0, 2.0]))).sum().backward()
+        np.testing.assert_array_equal(p.grad, [0.0, 2.0])
+        assert not np.signbit(p.grad[0])
+
+    def test_leaf_gradient_takes_the_leaf_dtype(self, rng):
+        p = Tensor(rng.normal(size=5), requires_grad=True, dtype=np.float32)
+        c = rng.normal(size=5)
+        (p * Tensor(c, dtype=np.float64)).sum().backward()
+        assert p.grad.dtype == np.float32
+        np.testing.assert_array_equal(p.grad, c.astype(np.float32))
+
+    def test_leaves_own_their_gradients(self):
+        """add's vjp hands one array to both parents: each leaf gets its own
+        copy, so a second backward adds once into each."""
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        q = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        loss = (p + q).sum()
+        loss.backward()
+        assert not np.shares_memory(p.grad, q.grad)
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(q.grad, [2.0, 2.0])
+
     def test_non_scalar_loss_rejected(self, rng):
         p = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
@@ -782,6 +875,23 @@ class TestNanChecks:
                 T.div(x, Tensor(np.array([1.0, 0.0])))
         finally:
             T.set_nan_checks(prev)
+
+    def test_backward_names_the_vjp_that_went_non_finite(self):
+        """The forward of sqrt at 0 is finite; its vjp is not."""
+        p = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        prev = T.set_nan_checks(True)
+        try:
+            loss = (p**0.5).sum()
+            with np.errstate(divide="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite gradient from the vjp of power"
+            ):
+                loss.backward()
+        finally:
+            T.set_nan_checks(prev)
+        assert p.grad is None
+        with np.errstate(divide="ignore"):
+            (p**0.5).sum().backward()
+        assert np.isinf(p.grad[0])
 
     def test_disabled_by_default(self):
         x = Tensor(np.array([1.0]))
