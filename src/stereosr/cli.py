@@ -69,19 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="required for --method model")
     p.add_argument("--csv", help="report path (default: <out>/eval_<method>.csv)")
 
-    p = sub.add_parser("sr", help="super-resolve one LR stereo pair")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--out-left", required=True)
-    p.add_argument("--out-right", required=True)
-
-    p = sub.add_parser("dump-masks", help="write argmax-disparity images per eye")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--out-left", required=True)
-    p.add_argument("--out-right", required=True)
+    # the flags of the commands that run a checkpoint on one LR pair
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag in ("--checkpoint", "--left", "--right", "--out-left", "--out-right"):
+        pair.add_argument(flag, required=True)
+    sub.add_parser("sr", parents=[pair], help="super-resolve one LR stereo pair")
+    p = sub.add_parser("dump-masks", parents=[pair], help="write argmax-disparity images per eye")
     p.add_argument("--gain", type=float, default=8.0, help="gray levels per pixel of disparity")
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
@@ -151,8 +144,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _load_pair(args, params) -> np.ndarray:
-    """The [2,C,h,w] LR pair named by --left/--right, checked against the model."""
+def _run_on_pair(args, model_fn, what: str) -> np.ndarray:
+    """model_fn(params, lr) for the --checkpoint model on the [2,C,h,w] LR pair
+    named by --left/--right. The result is checked before anything is
+    written: finite weights can still overflow, and a NaN would be written
+    as black or read as disparity 0."""
+    params, _, _ = training.restore_checkpoint(args.checkpoint)
     left = load_image(args.left)
     right = load_image(args.right)
     if left.shape != right.shape:
@@ -163,12 +160,7 @@ def _load_pair(args, params) -> np.ndarray:
         raise ValueError(
             f"model expects {params.img_channels}-channel images, got {left.shape[0]}"
         )
-    return np.stack([left, right])
-
-
-def _finite(values: np.ndarray, args, what: str) -> np.ndarray:
-    """values, checked before anything is written: finite weights can still
-    overflow, and a NaN would be written as black or read as disparity 0."""
+    values = model_fn(params, np.stack([left, right]))
     if not np.all(np.isfinite(values)):
         raise ValueError(
             f"{args.checkpoint}: the model gives non-finite {what} for this pair; "
@@ -177,26 +169,23 @@ def _finite(values: np.ndarray, args, what: str) -> np.ndarray:
     return values
 
 
-def _cmd_sr(args) -> int:
-    params, _, _ = training.restore_checkpoint(args.checkpoint)
-    sr = _finite(sr_pair(params, _load_pair(args, params)), args, "SR images")
-    save_image(args.out_left, sr[0])
-    save_image(args.out_right, sr[1])
+def _write_pair(args, images) -> int:
+    for path, image in zip((args.out_left, args.out_right), images):
+        save_image(path, image)
     print(f"wrote {args.out_left} and {args.out_right}")
     return 0
+
+
+def _cmd_sr(args) -> int:
+    return _write_pair(args, _run_on_pair(args, sr_pair, "SR images"))
 
 
 def _cmd_dump_masks(args) -> int:
     if not np.isfinite(args.gain):
         raise ValueError(f"--gain must be finite, got {args.gain}")
-    params, _, _ = training.restore_checkpoint(args.checkpoint)
-    masks = _finite(masks_pair(params, _load_pair(args, params)), args, "masks")
-    disps = pair_disparity(masks)
-    for path, disp in zip((args.out_left, args.out_right), disps):
-        gray = (128.0 + args.gain * disp) / 255.0
-        save_image(path, gray[None].astype(np.float32))
-    print(f"wrote {args.out_left} and {args.out_right}")
-    return 0
+    disps = pair_disparity(_run_on_pair(args, masks_pair, "masks"))
+    gray = (128.0 + args.gain * disps[:, None]) / 255.0
+    return _write_pair(args, gray.astype(np.float32))
 
 
 def _cmd_gradcheck(args) -> int:
@@ -205,6 +194,8 @@ def _cmd_gradcheck(args) -> int:
             raise ValueError(f"{flag} must be finite and positive, got {value}")
     if not np.isfinite(args.alpha):
         raise ValueError(f"--alpha must be finite, got {args.alpha}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     patch_h, patch_w = _parse_values(args.patch, int, "--patch", "6x12")
     report = full_model_gradcheck(
         scale=args.scale,
@@ -243,6 +234,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

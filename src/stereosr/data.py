@@ -387,6 +387,8 @@ def generate_dataset(
     n_train, n_val, n_test = counts
     if min(counts) < 0:
         raise ValueError(f"frame counts {counts} must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_frame_args(frame_h, frame_w, disparity_range, scale)
     os.makedirs(out_dir, exist_ok=True)
     entries = []

@@ -13,12 +13,10 @@ Conventions:
   * the graph is rebuilt on every forward pass (define-by-run).
   * an op allocates only its output; state needed only by the backward
     pass is built inside the vjp from the parents' data.
-  * three ops work their rows in blocks sized from one constant,
-    ``_BLOCK_BYTES``, and equal their unblocked form bit for bit:
+  * three ops work their rows in the blocks that ``_row_blocks`` plans,
+    and equal their unblocked form bit for bit:
     - ``conv2d``'s forward gathers and multiplies the windows of one block
-      of output rows at a time, so no full window matrix exists. Its
-      forward's comment gives the conditions under which BLAS rounds a
-      block as it rounds the whole map; every conv of the model meets them.
+      of output rows at a time, so no full window matrix exists.
     - ``row_attention`` returns one [2,B,W,W] tensor holding both softmax
       directions, so attention holds its two masks and never a full score
       volume; its vjp works the same blocks, so no full score gradient
@@ -35,6 +33,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -74,13 +73,8 @@ def _grad_enabled() -> bool:
     return no_grad._depth == 0
 
 
-_seq_counter = 0
-
-
-def _next_seq() -> int:
-    global _seq_counter
-    _seq_counter += 1
-    return _seq_counter
+# creation index of the next tensor: 1, 2, 3, ...
+_next_seq = itertools.count(1).__next__
 
 
 class Tensor:
@@ -243,10 +237,14 @@ def _toposort(root: Tensor):
     return sorted(seen.values(), key=lambda t: t._seq)
 
 
-def _coerce(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+def _coerce(a, b):
+    """Both operands of a binary op as Tensors; a plain number takes the
+    other operand's dtype (float32 when both are numbers)."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=getattr(b, "dtype", DEFAULT_DTYPE)))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    return a, b
 
 
 def _make(data: np.ndarray, parents, vjp, opname: str) -> Tensor:
@@ -284,8 +282,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # elementwise ops
 # ----------------------------------------------------------------------
 def add(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
+    a, b = _coerce(a, b)
     out = a.data + b.data
 
     def vjp(g):
@@ -295,8 +292,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
+    a, b = _coerce(a, b)
     out = a.data - b.data
 
     def vjp(g):
@@ -306,8 +302,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
+    a, b = _coerce(a, b)
     out = a.data * b.data
     a_data, b_data = a.data, b.data
 
@@ -318,17 +313,12 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = _coerce(a, getattr(b, "dtype", DEFAULT_DTYPE))
-    b = _coerce(b, a.dtype)
+    a, b = _coerce(a, b)
     out = a.data / b.data
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        # -g * a / b^2 worked in one temporary, reduced before ga exists
-        gb = -g
-        gb *= a_data
-        gb /= b_data * b_data
-        gb = _unbroadcast(gb, b.shape)
+        gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape)
         return _unbroadcast(g / b_data, a.shape), gb
 
     return _make(out, (a, b), vjp, "div")
@@ -381,26 +371,16 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.shape
 
     def vjp(g):
-        g = np.asarray(g)
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy() if g.shape != in_shape else g,)
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(ax % len(in_shape) for ax in axes):
-                g = np.expand_dims(g, ax)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
     return _make(np.asarray(out), (a,), vjp, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    axes = range(a.ndim) if axis is None else axis if isinstance(axis, tuple) else (axis,)
+    count = math.prod(a.shape[ax] for ax in axes)
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
@@ -484,16 +464,36 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 _BLOCK_BYTES = 1 << 20
 
 
+def _row_blocks(n: int, row_bytes: int, unit: int = 1):
+    """(start, stop) blocks of rows of ``row_bytes`` each that cover range(n)
+    in order.
+
+    Each block holds about _BLOCK_BYTES of rows, a whole number of ``unit``
+    rows and at least two rows; a lone row left at the end joins the block
+    before it. A blocked op equals its unblocked form bit for bit only if
+    BLAS computes each block as it computes the whole, and two block shapes
+    break that: a one-row product, which numpy hands to gemv (or to BLAS
+    rather than its own loop), and a ragged group of columns, which OpenBLAS
+    rounds with the kernel that the shape of the whole product selects.
+    Hence the two-row floor, and ``unit``.
+    """
+    step = max(_BLOCK_BYTES // max(row_bytes, 1) // unit * unit, unit, 2)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     """Both softmax directions of the per-row scores S = scale * q_rows @ k_rows.
 
     Takes q_rows [B,W,C] and k_rows [B,C,W]; returns one [2,B,W,W] tensor:
     index 0 is softmax(S^T), index 1 is softmax(S), both over the last axis.
     Equals ``batch_matmul``, ``mul`` by scale and ``softmax_lastdim`` of S and
-    of S^T bit for bit, gradients included, but the rows are worked in
-    blocks of ``_BLOCK_BYTES``: both directions are written in
-    place into the output buffer and no full score volume is ever held,
-    nor, in the vjp, a full score gradient.
+    of S^T bit for bit, gradients included, but the forward and the vjp work
+    the same blocks of rows: both directions are written in place into the
+    output buffer and no full score volume is ever held, nor, in the vjp, a
+    full score gradient.
     """
     if (
         q_rows.ndim != 3
@@ -508,9 +508,8 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
     buf = np.empty((2, B, W, W), dtype=np.result_type(q, k))
     m_lr, m_rl = buf
     scale = np.asarray(scale, dtype=buf.dtype)
-    step = max(1, _BLOCK_BYTES // max(W * W * buf.itemsize, 1))
-    for r in range(0, B, step):
-        rows = slice(r, r + step)
+    blocks = [slice(r0, r1) for r0, r1 in _row_blocks(B, W * W * buf.itemsize)]
+    for rows in blocks:
         s = m_rl[rows]
         np.matmul(q[rows], k[rows], out=s)
         s *= scale
@@ -524,8 +523,7 @@ def row_attention(q_rows: Tensor, k_rows: Tensor, scale: float) -> Tensor:
         # gradient or softmax-gradient temporary exists
         dtype = np.result_type(g, buf, q, k)
         gq, gk = np.empty(q.shape, dtype), np.empty(k.shape, dtype)
-        for r in range(0, B, step):
-            rows = slice(r, r + step)
+        for rows in blocks:
             gs = _softmax_grad(g[1, rows], m_rl[rows])
             gs += _softmax_grad(g[0, rows], m_lr[rows]).transpose(0, 2, 1)
             gs *= scale
@@ -637,36 +635,32 @@ def conv2d(
     # half of _BLOCK_BYTES: on a 2 MiB L2 that was faster than a whole one,
     # while the other blocked ops were slower at half.
     #
-    # Each output column is the same dot product as in one GEMM over all
-    # columns, so the bits do not depend on the block size as long as BLAS
-    # computes every column with the same kernel. OpenBLAS works columns in
-    # groups and computes a ragged last group, or a lone column (numpy hands
-    # that to gemv), with kernels chosen by the shape of the whole product.
-    # So a block is a whole number of _GEMM_COLUMNS columns, and a map whose
+    # A block is a whole number of _GEMM_COLUMNS columns, and a map whose
     # Ho*Wo is not is one block. So is a conv with one output channel, which
     # numpy computes by gemv, whose float32 kernel changes above 16384
     # columns; and a 1x1 conv, whose block is a view of the input with
-    # nothing to gather. Checked bit for bit against one GEMM on OpenBLAS
-    # 0.3.31 for depths C*kH*kW up to 288, the model's deepest; a deeper
-    # block with few output channels can fall to OpenBLAS's small-matrix
-    # kernel and round differently.
+    # nothing to gather. The output then equals one GEMM over the whole map
+    # bit for bit on OpenBLAS 0.3.31 for depths C*kH*kW up to 288: every conv
+    # of a model of up to 32 channels. From 50 channels on, the upscale conv
+    # is 450 or more deep with 4 to 48 output channels; a block of it can
+    # fall to OpenBLAS's small-matrix kernel, which sums the whole depth in
+    # one pass, and round differently in the last bits.
     w_mat = weight.data.reshape(O, C * kH * kW)
     win = _windows(_pad_hw(x.data, padding, padding), kH, kW, dilation)
     out = np.empty((N, O, Ho, Wo), dtype=np.result_type(w_mat, win))
     out_cols = out.reshape(N, O, Ho * Wo)
     if kH * kW == 1 or O == 1 or Ho * Wo % _GEMM_COLUMNS:
-        step = Ho
+        blocks = [(0, Ho)]
     else:
         unit = _GEMM_COLUMNS // math.gcd(Wo, _GEMM_COLUMNS)
-        rows = _BLOCK_BYTES // 2 // (C * kH * kW * Wo * out.itemsize)
-        step = max(unit, rows // unit * unit)
+        blocks = _row_blocks(Ho, 2 * C * kH * kW * Wo * out.itemsize, unit)
     for n in range(N):
-        for r in range(0, Ho, step):
-            block = win[n, :, r : r + step].transpose(0, 3, 4, 1, 2)
+        for r0, r1 in blocks:
+            block = win[n, :, r0:r1].transpose(0, 3, 4, 1, 2)
             np.matmul(
                 w_mat,
                 block.reshape(C * kH * kW, -1),
-                out=out_cols[n, :, r * Wo : (r + step) * Wo],
+                out=out_cols[n, :, r0 * Wo : r1 * Wo],
             )
     out += bias.data.reshape(1, O, 1, 1)
 
@@ -783,17 +777,6 @@ def _support(M: np.ndarray, r0: int, r1: int):
     return int(cols[0]), int(cols[-1]) + 1
 
 
-def _row_blocks(n: int, step: int):
-    """Ranges of max(step, 2) rows, the last up to one more, that cover
-    range(n); none is a lone row unless n == 1. On one row, numpy hands a
-    matmul to another BLAS routine, or to BLAS rather than its own loop,
-    and either rounds differently from the unblocked op."""
-    starts = list(range(0, n, max(step, 2)))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
-
-
 def _upsample_rows(vol: np.ndarray, Mh: np.ndarray, Mw: np.ndarray, r0: int, r1: int):
     """Rows r0:r1 of ``trilinear_upsample`` of one [h,w,w] volume, read from the
     LR rows in their support, by the same matmul calls, so the same bits."""
@@ -811,9 +794,9 @@ def consistency_gap(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
     Equals ``trilinear_upsample``, the row renormalisation, the squared gap
     and a mean over each direction bit for bit, gradients included, but no
     full upsampled, quotient or gap array exists. The forward works blocks
-    of ``_BLOCK_BYTES`` of SR rows, each from the LR rows in its support.
-    The vjp works blocks of LR rows and recomputes the SR rows that each
-    block reads, a halo of a row or two included.
+    of SR rows, each from the LR rows in its support. The vjp works blocks
+    of LR rows, each s times an SR row's size, and recomputes the SR rows
+    that each block reads, a halo of a row or two included.
     """
     s = int(s)
     if masks_lr.ndim != 5 or s < 1:
@@ -834,13 +817,12 @@ def consistency_gap(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
     sr = masks_sr.data.reshape(D * N, sh, sw, sw)
     Mh = resampling_matrix(h, sh, _triangle_kernel, masks_lr.dtype)
     Mw = resampling_matrix(w, sw, _triangle_kernel, masks_lr.dtype)
-    rows = max(1, _BLOCK_BYTES // max(sw * sw * sr.itemsize, 1))
 
     # the squares are summed as one array, as a mean over each direction
     # sums them, so the sum rounds the same
     sq = np.empty_like(sr)
     for b in range(D * N):
-        for r0, r1 in _row_blocks(sh, rows):
+        for r0, r1 in _row_blocks(sh, sw * sw * sr.itemsize):
             up = _upsample_rows(lr[b], Mh, Mw, r0, r1)
             gap = np.divide(up, up.sum(axis=-1, keepdims=True), out=up)
             gap -= sr[b, r0:r1]
@@ -857,7 +839,7 @@ def consistency_gap(masks_lr: Tensor, masks_sr: Tensor, s: int) -> Tensor:
         g_sr = np.empty(sr.shape, np.result_type(sr, g))
         for b in range(D * N):
             # LR rows whose SR rows, halos aside, make one forward block
-            for a0, a1 in _row_blocks(h, max(1, rows // s)):
+            for a0, a1 in _row_blocks(h, s * sw * sw * sr.itemsize):
                 r0, r1 = _support(Mh.T, a0, a1)
                 up = _upsample_rows(lr[b], Mh, Mw, r0, r1)
                 S = up.sum(axis=-1, keepdims=True)

@@ -70,6 +70,7 @@ class TrainConfig:
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {self.scale}")
         positive = (
+            ("seed", self.seed >= 0),
             ("alpha", 0 <= self.alpha < math.inf),
             ("lr0", 0 < self.lr0 < math.inf),
             ("epochs", self.epochs > 0),

@@ -898,3 +898,119 @@ class TestNanChecks:
         with np.errstate(divide="ignore"):
             out = T.div(x, Tensor(np.array([0.0])))
         assert np.isinf(out.data[0])
+
+
+class TestRowBlocks:
+    """The one planner of the blocked ops' row blocks."""
+
+    ROW_BYTES = [4, 1000, T._BLOCK_BYTES // 5, T._BLOCK_BYTES // 2, T._BLOCK_BYTES - 1,
+                 T._BLOCK_BYTES, 3 * T._BLOCK_BYTES]
+
+    @pytest.mark.parametrize("unit", [1, 2, 4])
+    @pytest.mark.parametrize("row_bytes", ROW_BYTES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 129])
+    def test_blocks_cover_the_rows_within_the_budget(self, n, row_bytes, unit):
+        blocks = T._row_blocks(n, row_bytes, unit)
+        assert [r for r0, r1 in blocks for r in range(r0, r1)] == list(range(n))
+        sizes = [r1 - r0 for r0, r1 in blocks]
+        assert all(size % unit == 0 for size in sizes[:-1])
+        assert n == 1 or min(sizes) >= 2
+        floor = max(unit, 2)
+
+        def fits(rows):
+            return rows * row_bytes <= T._BLOCK_BYTES or rows <= floor
+
+        assert all(fits(size) for size in sizes[:-1])
+        # a lone row left at the end joins the last block
+        assert fits(sizes[-1]) or fits(sizes[-1] - 1)
+        # every full block is as large as the budget lets it be
+        assert all((size + unit) * row_bytes > T._BLOCK_BYTES for size in sizes[:-1])
+
+    @pytest.mark.parametrize(
+        "n,row_bytes,unit,sizes",
+        [
+            # sr-stream's 32-channel 3x3 convs on 64x128 maps, at half the
+            # budget: 3-row blocks, and the last row joins the last block
+            (64, 2 * 32 * 9 * 128 * 4, 1, [3] * 20 + [4]),
+            # an 8-channel 3x3 conv on a 16x48 map: whole 4-row units
+            (16, 2 * 8 * 9 * 48 * 4, 4, [16]),
+            # attention rows of sr-stream, sr-wide and train-desk (LR, SR)
+            (64, 128 * 128 * 4, 1, [16] * 4),
+            (48, 320 * 320 * 4, 1, [2] * 24),
+            (8 * 16, 48 * 48 * 4, 1, [113, 15]),
+            (8 * 32, 96 * 96 * 4, 1, [28] * 9 + [4]),
+            # train-desk's x2 disparity constraint: SR rows, then LR rows
+            (32, 96 * 96 * 4, 1, [28, 4]),
+            (16, 2 * 96 * 96 * 4, 1, [14, 2]),
+            # attention rows over half the budget: 2-row blocks, not 1-row ones
+            (5, 363 * 363 * 4, 1, [2, 3]),
+            (4, 257 * 257 * 8, 1, [2, 2]),
+            (4, 256 * 256 * 8, 1, [2, 2]),
+        ],
+    )
+    def test_workload_partitions(self, n, row_bytes, unit, sizes):
+        assert [r1 - r0 for r0, r1 in T._row_blocks(n, row_bytes, unit)] == sizes
+
+
+class TestBinaryOps:
+    OPS = [(T.add, np.add), (T.sub, np.subtract), (T.mul, np.multiply), (T.div, np.divide)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,np_op", OPS, ids=["add", "sub", "mul", "div"])
+    def test_a_plain_number_takes_the_tensor_dtype(self, op, np_op, dtype):
+        t = Tensor(np.array([1.5, -2.0, 4.0]), dtype=dtype)
+        for number in (3, 0.1):
+            for out, want in (
+                (op(t, number), np_op(t.data, np.asarray(number, dtype))),
+                (op(number, t), np_op(np.asarray(number, dtype), t.data)),
+            ):
+                assert out.dtype == dtype
+                assert out.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("big_first", [True, False], ids=["big-first", "big-second"])
+    @pytest.mark.parametrize("other_shape", [(3, 1), (1,)])
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div], ids=["add", "sub", "mul", "div"])
+    def test_gradients_under_broadcasting(self, rng, op, other_shape, big_first):
+        a = Tensor(rng.uniform(0.5, 2.0, size=(2, 3, 4)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.uniform(0.5, 2.0, size=other_shape), requires_grad=True, dtype=np.float64)
+        g = rng.normal(size=(2, 3, 4))
+
+        def loss():
+            return (op(*((a, b) if big_first else (b, a))) * g).sum()
+
+        report = check_gradients(loss, [("a", a), ("b", b)], elementwise=True)
+        assert max(report.values()) < 1e-6
+
+
+class TestReductions:
+    AXES = [None, 1, -1, (0, -1)]
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", AXES, ids=["none", "1", "-1", "0,-1"])
+    def test_sum_value_and_gradient(self, rng, axis, keepdims):
+        x = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        a = Tensor(x, requires_grad=True)
+        out = T.tsum(a, axis=axis, keepdims=keepdims)
+        want = x.sum(axis=axis, keepdims=keepdims)
+        assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
+        g = rng.normal(size=want.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        np.testing.assert_array_equal(a.grad, np.broadcast_to(g, x.shape))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", AXES, ids=["none", "1", "-1", "0,-1"])
+    def test_mean_value_and_gradient(self, rng, axis, keepdims):
+        x = rng.normal(size=(2, 3, 4))
+        a = Tensor(x, requires_grad=True, dtype=np.float64)
+        out = T.tmean(a, axis=axis, keepdims=keepdims)
+        want = x.mean(axis=axis, keepdims=keepdims)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=1e-15)
+        count = x.size // max(want.size, 1)
+        g = rng.normal(size=want.shape)
+        (out * Tensor(g)).sum().backward()
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        np.testing.assert_array_equal(a.grad, np.broadcast_to(g * (1.0 / count), x.shape))
