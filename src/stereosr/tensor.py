@@ -15,7 +15,8 @@ Conventions:
     pass is built inside the vjp from the parents' data.
   * three ops work their rows in the blocks that ``_row_blocks`` plans,
     and equal their unblocked form bit for bit:
-    - ``conv2d``'s forward gathers and multiplies the windows of one block
+    - ``conv2d``'s forward and its input gradient are one correlation,
+      ``_correlate``, which gathers and multiplies the windows of one block
       of output rows at a time, so no full window matrix exists.
     - ``row_attention`` returns one [2,B,W,W] tensor holding both softmax
       directions, so attention holds its two masks and never a full score
@@ -190,6 +191,13 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __neg__(self):
+        # times -1 flips the sign exactly, as np.negative does
+        return mul(self, -1.0)
+
     def __mul__(self, other):
         return mul(self, other)
 
@@ -197,6 +205,9 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
+
+    def __rtruediv__(self, other):
+        return div(other, self)
 
     def __pow__(self, p):
         return power(self, p)
@@ -584,19 +595,69 @@ def _windows(a: np.ndarray, kH: int, kW: int, dilation: int) -> np.ndarray:
 _GEMM_COLUMNS = 64
 
 
-def _pad_hw(a: np.ndarray, ph: int, pw: int, spare_rows: int = 0) -> np.ndarray:
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Zero-pad [N,C,H,W] by ph rows / pw columns per side, crop where
-    negative, and add ``spare_rows`` zero rows at the bottom."""
+    negative."""
     ch, cw = max(-ph, 0), max(-pw, 0)
     a = a[:, :, ch : a.shape[2] - ch, cw : a.shape[3] - cw]
     ph, pw = max(ph, 0), max(pw, 0)
-    if ph or pw or spare_rows:
+    if ph or pw:
         # zeros + copy: np.pad's per-call overhead is ~10x this on small maps
         N, C, H, W = a.shape
-        out = np.zeros((N, C, H + 2 * ph + spare_rows, W + 2 * pw), dtype=a.dtype)
+        out = np.zeros((N, C, H + 2 * ph, W + 2 * pw), dtype=a.dtype)
         out[:, :, ph : ph + H, pw : pw + W] = a
         a = out
     return a
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray, dilation: int) -> np.ndarray:
+    """Stride-1 dilated cross-correlation of a padded [N,C,Hp,Wp] map with an
+    [O,C,kH,kW] kernel: [N,O,Ho,Wo], no bias.
+
+    Per sample, one GEMM per block of output rows. The block's windows are
+    gathered into a C-order [C*kH*kW, rows*Wo] matrix that stays in L2
+    while the GEMM reads it, and the product goes straight into the block's
+    columns of the output; no [C*kH*kW, Ho*Wo] window matrix (9.4 MB for a
+    32-channel 64x128 conv) is gathered. A window block is half of
+    _BLOCK_BYTES: on a 2 MiB L2 that was faster than a whole one, while the
+    other blocked ops were slower at half.
+
+    A block is a whole number of _GEMM_COLUMNS columns, and a map whose
+    Ho*Wo is not is one block. So is a kernel with one output channel, which
+    numpy computes by gemv, whose float32 kernel changes above 16384
+    columns; and a 1x1 kernel, whose block is a view of the input with
+    nothing to gather. The result then equals one GEMM over the whole map
+    bit for bit on OpenBLAS 0.3.31 for depths C*kH*kW up to 288: every
+    forward conv of a model of up to 32 channels, and every input gradient
+    but the upscale conv's at x4 on 3 image channels (432 deep). Deeper
+    products, such as the forward upscale conv from 50 channels on (450 or
+    more deep, 4 to 48 output channels), can fall to OpenBLAS's
+    small-matrix kernel, which sums the whole depth in one pass, and round
+    differently in the last bits.
+    """
+    N, C = xp.shape[:2]
+    O, _, kH, kW = w.shape
+    win = _windows(xp, kH, kW, dilation)
+    Ho, Wo = win.shape[2:4]
+    w_mat = w.reshape(O, C * kH * kW)
+    out = np.empty((N, O, Ho, Wo), dtype=np.result_type(w_mat, win))
+    out_cols = out.reshape(N, O, Ho * Wo)
+    if kH * kW == 1 or O == 1 or Ho * Wo % _GEMM_COLUMNS:
+        blocks = [(0, Ho)]
+    else:
+        unit = _GEMM_COLUMNS // math.gcd(Wo, _GEMM_COLUMNS)
+        blocks = _row_blocks(Ho, 2 * C * kH * kW * Wo * out.itemsize, unit)
+    for n in range(N):
+        for r0, r1 in blocks:
+            # the gathered copy is a temporary, freed before the next block
+            # is gathered, so every block reuses one cache-warm buffer
+            block = win[n, :, r0:r1].transpose(0, 3, 4, 1, 2)
+            np.matmul(
+                w_mat,
+                block.reshape(C * kH * kW, -1),
+                out=out_cols[n, :, r0 * Wo : r1 * Wo],
+            )
+    return out
 
 
 def conv2d(
@@ -627,41 +688,7 @@ def conv2d(
             "does not yield positive output extents"
         )
 
-    # Per sample, one GEMM per block of output rows. The block's windows are
-    # gathered into a C-order [C*kH*kW, rows*Wo] matrix that stays in L2
-    # while the GEMM reads it, and the product goes straight into the
-    # block's columns of the output; no [C*kH*kW, Ho*Wo] window matrix
-    # (9.4 MB for a 32-channel 64x128 conv) is gathered. A window block is
-    # half of _BLOCK_BYTES: on a 2 MiB L2 that was faster than a whole one,
-    # while the other blocked ops were slower at half.
-    #
-    # A block is a whole number of _GEMM_COLUMNS columns, and a map whose
-    # Ho*Wo is not is one block. So is a conv with one output channel, which
-    # numpy computes by gemv, whose float32 kernel changes above 16384
-    # columns; and a 1x1 conv, whose block is a view of the input with
-    # nothing to gather. The output then equals one GEMM over the whole map
-    # bit for bit on OpenBLAS 0.3.31 for depths C*kH*kW up to 288: every conv
-    # of a model of up to 32 channels. From 50 channels on, the upscale conv
-    # is 450 or more deep with 4 to 48 output channels; a block of it can
-    # fall to OpenBLAS's small-matrix kernel, which sums the whole depth in
-    # one pass, and round differently in the last bits.
-    w_mat = weight.data.reshape(O, C * kH * kW)
-    win = _windows(_pad_hw(x.data, padding, padding), kH, kW, dilation)
-    out = np.empty((N, O, Ho, Wo), dtype=np.result_type(w_mat, win))
-    out_cols = out.reshape(N, O, Ho * Wo)
-    if kH * kW == 1 or O == 1 or Ho * Wo % _GEMM_COLUMNS:
-        blocks = [(0, Ho)]
-    else:
-        unit = _GEMM_COLUMNS // math.gcd(Wo, _GEMM_COLUMNS)
-        blocks = _row_blocks(Ho, 2 * C * kH * kW * Wo * out.itemsize, unit)
-    for n in range(N):
-        for r0, r1 in blocks:
-            block = win[n, :, r0:r1].transpose(0, 3, 4, 1, 2)
-            np.matmul(
-                w_mat,
-                block.reshape(C * kH * kW, -1),
-                out=out_cols[n, :, r0 * Wo : r1 * Wo],
-            )
+    out = _correlate(_pad_hw(x.data, padding, padding), weight.data, dilation)
     out += bias.data.reshape(1, O, 1, 1)
 
     def vjp(g):
@@ -676,31 +703,14 @@ def conv2d(
         g_rows = g.transpose(1, 0, 2, 3).reshape(O, N * Ho * Wo)
         gw = (cols @ g_rows.T).T
         del win, cols
-        # Input gradient, per sample one [C,O] x [O,H*Wp] GEMM per tap,
-        # accumulated (kn2row-aa, arXiv:1709.03395). Input pixel (y, x) takes
-        # tap (ki, kj) from g at (y + padding - ki*dilation, x + padding -
-        # kj*dilation). Once g is padded by dilation*(k-1) - padding per side
-        # (cropped where that is negative) to [Hp, Wp] = [H, W] +
-        # dilation*(k-1), that is flat offset y*Wp + x + off, with off below.
-        # So each tap reads one contiguous span of g's flattened rows. Its
-        # columns W..Wp-1 wrap into the next row and are cropped at the end,
-        # and a spare zero row keeps the first tap's span in bounds. The taps
-        # are added one by one in (ki, kj) order, which fixes the float
-        # rounding of the gradient. Each product is only [C, H*Wp], and the
-        # suite and the benchmark pin BLAS to one thread.
+        # Input gradient, by the forward's routine: at stride 1 it is the
+        # correlation of g, padded by dilation*(k-1) - padding per side
+        # (cropped where negative), with the kernel flipped in both spatial
+        # axes and its two channel axes swapped. Skipped for an input that
+        # takes no gradient, such as the LR images entering the model.
         qh, qw = dilation * (kH - 1) - padding, dilation * (kW - 1) - padding
-        gq = _pad_hw(g, qh, qw, spare_rows=1)
-        Wp = gq.shape[3]
-        flat = gq.reshape(N, O, -1)
-        w_taps = weight.data.transpose(2, 3, 1, 0)  # [kH, kW, C, O]
-        gx = np.zeros((N, C, H * Wp), dtype=np.result_type(weight.data, g))
-        tap = np.empty_like(gx)
-        for ki in range(kH):
-            for kj in range(kW):
-                off = dilation * ((kH - 1 - ki) * Wp + kW - 1 - kj)
-                np.matmul(w_taps[ki, kj], flat[:, :, off : off + H * Wp], out=tap)
-                gx += tap
-        gx = gx.reshape(N, C, H, Wp)[:, :, :, :W]
+        w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gx = _correlate(_pad_hw(g, qh, qw), w_flip, dilation) if x.requires_grad else None
         return gx, gw.reshape(weight.shape), gb
 
     return _make(out, (x, weight, bias), vjp, "conv2d")

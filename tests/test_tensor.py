@@ -223,10 +223,10 @@ class TestConv2d:
         (2, 3, 1, 16, 16, 3, 1, 1),
     ]
 
+    BLOCK_IDS = ["n{}c{}o{}-{}x{}-k{}p{}d{}".format(*case) for case in BLOCK_CASES]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "case", BLOCK_CASES, ids=["n{}c{}o{}-{}x{}-k{}p{}d{}".format(*c) for c in BLOCK_CASES]
-    )
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
     def test_forward_does_not_depend_on_the_block_size(self, rng, monkeypatch, case, dtype):
         """The forward at the least block size equals one block over the whole
         map byte for byte, and both match the loop oracle."""
@@ -262,26 +262,76 @@ class TestConv2d:
                 tracemalloc.stop()
         assert peak <= out.data.nbytes + padded + T._BLOCK_BYTES + 64 * 1024
 
-    def test_input_gradient_adds_taps_in_order(self, rng):
-        """float32 input gradient equals a tap-by-tap (ki, kj) scatter bit for bit.
-
-        Training runs are chaotic in this rounding, so a different summation
-        order changes what the acceptance runs learn.
-        """
-        d, p = 2, 1
-        x = Tensor(rng.normal(size=(2, 3, 7, 9)), requires_grad=True, dtype=np.float32)
-        w = Tensor(rng.normal(size=(4, 3, 3, 3)), dtype=np.float32)
-        out = T.conv2d(x, w, Tensor(np.zeros(4), dtype=np.float32), padding=p, dilation=d)
-        g = rng.normal(size=out.shape).astype(np.float32)
+    @pytest.mark.parametrize("block_bytes", [1, T._BLOCK_BYTES], ids=["least", "default"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", BLOCK_CASES, ids=BLOCK_IDS)
+    def test_input_gradient_does_not_depend_on_the_block_size(
+        self, rng, monkeypatch, case, dtype, block_bytes
+    ):
+        """x.grad equals, bit for bit, one GEMM per sample of the flipped,
+        channel-swapped kernel over the windows of the whole padded g."""
+        n, c, o, h, w, k, padding, dilation = case
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block_bytes)
+        x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True, dtype=dtype)
+        wt = rng.normal(size=(o, c, k, k)).astype(dtype)
+        out = T.conv2d(x, Tensor(wt), Tensor(np.zeros(o), dtype=dtype), padding, dilation)
+        g = rng.normal(size=out.shape).astype(dtype)
         (out * Tensor(g)).sum().backward()
+        q = dilation * (k - 1) - padding
+        gq = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q))) if q >= 0 else g[:, :, -q:q, -q:q]
+        taps = [(a * dilation, b * dilation) for a in range(k) for b in range(k)]
+        cols = np.stack([gq[:, :, a : a + h, b : b + w] for a, b in taps], axis=2)
+        w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        want = np.stack([w_flip @ cols[i].reshape(o * k * k, h * w) for i in range(n)])
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, want.reshape(n, c, h, w))
+
+    def test_vjp_skips_an_input_gradient_nobody_takes(self, rng):
+        """With x not requiring a gradient the vjp returns None for it, and
+        the weight and bias gradients stay the same bit for bit."""
+        x = rng.normal(size=(2, 3, 9, 11)).astype(np.float32)
+        wt = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 4, 9, 11)).astype(np.float32)
+        vjps, leaf_grads = [], []
+        for x_grad in (False, True):
+            w = Tensor(wt, requires_grad=True)
+            b = Tensor(np.zeros(4), requires_grad=True, dtype=np.float32)
+            out = T.conv2d(Tensor(x, requires_grad=x_grad), w, b, padding=1)
+            vjps.append(out._vjp(g))
+            (out * Tensor(g)).sum().backward()
+            leaf_grads.append((w.grad, b.grad))
+        assert vjps[0][0] is None and vjps[1][0].shape == x.shape
+        for skipped, full in zip(vjps[0][1:] + leaf_grads[0], vjps[1][1:] + leaf_grads[1]):
+            assert skipped.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        [(8, 96, 32, 32, 96, 1, 0, 1), (1, 32, 32, 64, 128, 3, 1, 1), (8, 8, 8, 32, 96, 3, 4, 4)],
+        ids=["aspp-fuse-1x1", "c32-3x3", "c8-3x3-d4"],
+    )
+    def test_vjp_peak_holds_one_input_gradient(self, rng, case):
+        """The vjp peaks within the input gradient, the weight-gradient
+        gather, the padded g and a window block: one input gradient, never
+        a second one as an accumulator would."""
+        n, c, o, h, w, k, padding, dilation = case
+        x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True, dtype=np.float32)
+        wt = Tensor(rng.normal(size=(o, c, k, k)), requires_grad=True, dtype=np.float32)
+        b = Tensor(np.zeros(o), requires_grad=True, dtype=np.float32)
+        out = T.conv2d(x, wt, b, padding, dilation)
+        g = rng.normal(size=out.shape).astype(np.float32)
         ho, wo = out.shape[2:]
-        dcols = np.matmul(w.data.reshape(4, 27).T, g.reshape(2, 4, ho * wo))
-        dcols = dcols.reshape(2, 3, 3, 3, ho, wo)
-        want = np.zeros((2, 3, 7 + 2 * p, 9 + 2 * p), dtype=np.float32)
-        for ki in range(3):
-            for kj in range(3):
-                want[:, :, ki * d : ki * d + ho, kj * d : kj * d + wo] += dcols[:, :, ki, kj]
-        assert np.array_equal(x.grad, want[:, :, p:-p, p:-p])
+        reach = dilation * (k - 1)
+        gather = c * k * k * n * ho * wo * 4
+        padded_g = n * o * (h + reach) * (w + reach) * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gx, _, _ = out._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= gx.nbytes + gather + padded_g + T._BLOCK_BYTES + 64 * 1024
 
     def test_graph_keeps_only_the_output(self, rng):
         """Under grad, a conv holds its output and no window matrix for backward."""
@@ -980,6 +1030,40 @@ class TestBinaryOps:
 
         report = check_gradients(loss, [("a", a), ("b", b)], elementwise=True)
         assert max(report.values()) < 1e-6
+
+
+class TestReflectedOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "form,ref",
+        [(lambda t: 1.0 - t, lambda t: T.sub(1.0, t)), (lambda t: 2.0 / t, lambda t: T.div(2.0, t))],
+        ids=["rsub", "rtruediv"],
+    )
+    def test_a_number_on_the_left(self, rng, form, ref, dtype):
+        """1.0 - t and 2.0 / t equal T.sub(1.0, t) and T.div(2.0, t) bit for
+        bit, values and gradients."""
+        x = rng.uniform(0.5, 2.0, size=(2, 3)).astype(dtype)
+        g = rng.normal(size=(2, 3)).astype(dtype)
+        results = []
+        for fn in (form, ref):
+            t = Tensor(x, requires_grad=True)
+            out = fn(t)
+            (out * Tensor(g)).sum().backward()
+            results.append((out.data, t.grad))
+        for got, want in zip(*results):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unary_minus(self, rng, dtype):
+        """-t equals np.negative bit for bit, signed zeros included, and its
+        gradient is -g."""
+        x = np.array([[0.0, -0.0, 1.5], [-2.25, 3.0, 1e-30]], dtype=dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        out = -t
+        (out * Tensor(g)).sum().backward()
+        assert out.dtype == dtype and out.data.tobytes() == np.negative(x).tobytes()
+        assert t.grad.dtype == dtype and t.grad.tobytes() == np.negative(g).tobytes()
 
 
 class TestReductions:

@@ -18,7 +18,10 @@ float32 sum. It writes, as one .npz file:
 
 Weights are drawn with a random output conv, so every loss term reaches
 every parameter. ``compare`` lists each array whose dtype, shape or bytes
-differ, or that only one file holds, and exits 1 if there is any.
+differ, or that only one file holds, and exits 1 if there is any. For an
+array whose bytes differ it prints the max abs difference and that
+difference over the max-abs of A's array, the unit of every tolerance
+in CHANGES.md, then the worst such ratio per dtype.
 """
 
 import argparse
@@ -108,6 +111,7 @@ def compare(path_a: str, path_b: str) -> int:
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
     differ = []
+    worst = {}  # dtype name -> (difference over max-abs, key)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             differ.append(f"{key}: only in {path_a if key in a else path_b}")
@@ -116,10 +120,18 @@ def compare(path_a: str, path_b: str) -> int:
         elif a[key].shape != b[key].shape:
             differ.append(f"{key}: shape {a[key].shape} vs {b[key].shape}")
         elif a[key].tobytes() != b[key].tobytes():
-            diff = np.abs(a[key].astype(np.float64) - b[key].astype(np.float64))
-            differ.append(f"{key}: bytes differ, max abs difference {np.nanmax(diff):.3g}")
+            diff = np.nanmax(np.abs(a[key].astype(np.float64) - b[key].astype(np.float64)))
+            scale = np.nanmax(np.abs(a[key].astype(np.float64)))
+            rel = diff / scale if scale > 0 else (0.0 if diff == 0 else np.inf)
+            differ.append(
+                f"{key}: bytes differ, max abs difference {diff:.3g}, {rel:.3g} of max-abs"
+            )
+            dtype = a[key].dtype.name
+            worst[dtype] = max(worst.get(dtype, (rel, key)), (rel, key))
     for line in differ:
         print(line)
+    for dtype, (rel, key) in sorted(worst.items()):
+        print(f"worst {dtype}: {rel:.3g} of max-abs, {key}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} arrays differ")
     return 1 if differ else 0
 
